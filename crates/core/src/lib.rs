@@ -33,12 +33,11 @@
 //!   [`telemetry::GaugeSeries`], and the JSON-exportable
 //!   [`telemetry::TelemetrySnapshot`].
 //! * [`packet`], [`rank`], [`time`] — the vocabulary types.
-//! * [`buffer`] — the shared packet-buffer slab (§4): packets live once,
-//!   PIFOs circulate 4-byte [`buffer::PktHandle`]s.
-//! * [`pool`] — the fabric-wide shared memory system (§5.1, §6.1): one
-//!   [`pool::SharedPacketPool`] slab behind per-port
-//!   [`pool::PoolHandle`]s, with static / Choudhury–Hahne dynamic
-//!   threshold admission deciding drops before any enqueue.
+//! * [`pool`] — the fabric-wide shared memory system (§4, §5.1, §6.1):
+//!   packets live once in one [`pool::SharedPacketPool`] slab and PIFOs
+//!   circulate 4-byte [`pool::PktHandle`]s. Per-port
+//!   [`pool::PoolHandle`]s apply static / Choudhury–Hahne dynamic
+//!   threshold admission, deciding drops before any enqueue.
 //! * [`transaction`] — scheduling & shaping transaction traits (§2.1, §2.3).
 //! * [`tree`] — trees of transactions with suspend/resume shaping (§2.2–2.3).
 //!
@@ -70,7 +69,6 @@
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod buffer;
 pub mod metrics;
 pub mod packet;
 pub mod pifo;
@@ -89,7 +87,6 @@ pub mod tree;
 /// Convenient glob-import of the types nearly every user needs.
 pub mod prelude {
     pub use crate::approx::{Aifo, Rifo, SpPifo};
-    pub use crate::buffer::{PacketBuffer, PktHandle};
     pub use crate::metrics::{InversionStats, InversionTracker};
     pub use crate::packet::{FlowId, Packet, PacketId};
     pub use crate::pifo::{
@@ -97,8 +94,8 @@ pub mod prelude {
         PifoQueue, SortedArrayPifo,
     };
     pub use crate::pool::{
-        AdmissionPolicy, PoolError, PoolHandle, PoolStats, PortPoolStats, SharedPacketPool,
-        SharedPool, Threshold,
+        AdmissionPolicy, PktHandle, PoolError, PoolHandle, PoolStats, PortPoolStats,
+        SharedPacketPool, SharedPool, Threshold,
     };
     pub use crate::rank::{Rank, VT_SHIFT};
     pub use crate::telemetry::{

@@ -14,12 +14,8 @@
 //! engines implement one discipline. Two traits capture the contract:
 //!
 //! * [`PifoQueue`] — the core operations every scheduler needs in the hot
-//!   path (`try_push`/`pop`/`peek`/`len`/`capacity`), plus the batched
-//!   variants [`PifoQueue::push_batch`]/[`PifoQueue::pop_batch`] —
-//!   byte-identical to their sequential expansion, with amortized
-//!   implementations where an engine can exploit the batch shape (the
-//!   bucket calendar drains whole buckets per bitmap step, the sorted
-//!   array bulk-moves its prefix).
+//!   path (`try_push`/`pop`/`peek`/`len`/`capacity`): one push per
+//!   enqueue and one pop per dequeue, as in the paper's PIFO block.
 //! * [`PifoInspect`] — ordered inspection and targeted removal
 //!   (`iter_in_order`, `peek_first_matching`, `pop_first_matching`), used
 //!   by the scheduling tree's introspection, the hardware model's
@@ -121,61 +117,6 @@ pub trait PifoQueue<T> {
             panic!("push into full PIFO (capacity {:?})", self.capacity());
         }
     }
-
-    /// Push a batch of `(rank, item)` pairs, returning the rejected
-    /// elements (in input order) when a capacity bound is hit.
-    ///
-    /// **Semantics are exactly sequential**: the batch behaves as one
-    /// [`try_push`](Self::try_push) per element, in input order — FIFO
-    /// tie-breaks, admission decisions and the rejected elements' fields
-    /// are byte-identical to the per-element path (enforced by the
-    /// cross-backend differential suite). Backends may amortize internal
-    /// work across the batch: [`BucketPifo`] resolves the capacity gate
-    /// once for the whole batch instead of once per element.
-    ///
-    /// An empty batch is a no-op and returns no rejects.
-    ///
-    /// ```
-    /// use pifo_core::prelude::*;
-    ///
-    /// let mut q = PifoBackend::Bucket.make_enum_bounded::<u32>(2);
-    /// let rejected = q.push_batch(vec![(Rank(3), 30), (Rank(1), 10), (Rank(2), 20)]);
-    /// // The first two fit; the third bounces back field-for-field.
-    /// assert_eq!(rejected.len(), 1);
-    /// assert_eq!((rejected[0].rank, rejected[0].item), (Rank(2), 20));
-    /// assert_eq!(q.pop(), Some((Rank(1), 10)));
-    /// ```
-    fn push_batch(&mut self, items: Vec<(Rank, T)>) -> Vec<PifoFull<T>> {
-        let mut rejected = Vec::new();
-        for (rank, item) in items {
-            if let Err(full) = self.try_push(rank, item) {
-                rejected.push(full);
-            }
-        }
-        rejected
-    }
-
-    /// Pop up to `max` head elements into `out` (appended in dequeue
-    /// order), returning how many were popped. Stops early when the queue
-    /// empties.
-    ///
-    /// Equivalent to `max` sequential [`pop`](Self::pop) calls; backends
-    /// may amortize — [`BucketPifo`] drains whole calendar buckets with
-    /// one find-first-set bitmap step per *bucket* instead of per
-    /// element, [`SortedArrayPifo`] drains its sorted prefix in one
-    /// `memmove`, and [`HeapPifo`] replaces sift-downs with one sort (or
-    /// a select + prefix sort + heap rebuild) when the batch takes a
-    /// large enough bite of the heap.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        let before = out.len();
-        while out.len() - before < max {
-            match self.pop() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out.len() - before
-    }
 }
 
 /// Ordered inspection and targeted removal, on top of [`PifoQueue`].
@@ -262,7 +203,7 @@ impl PifoBackend {
     ];
 
     /// Every backend, exact trio first (useful for bench sweeps and for
-    /// properties that hold per-backend, like batch-equals-sequential).
+    /// properties that hold per-backend, like FIFO tie order).
     /// Cross-backend trace comparisons should use [`EXACT`](Self::EXACT).
     pub const ALL: [PifoBackend; 6] = [
         PifoBackend::SortedArray,
@@ -342,10 +283,8 @@ impl PifoBackend {
     /// assert_eq!(q.backend(), PifoBackend::Bucket);
     /// q.push(Rank(20), "late");
     /// q.push(Rank(10), "early");
-    /// // Batch pops reach the engine's amortized implementation.
-    /// let mut out = Vec::new();
-    /// assert_eq!(q.pop_batch(8, &mut out), 2);
-    /// assert_eq!(out, vec![(Rank(10), "early"), (Rank(20), "late")]);
+    /// assert_eq!(q.pop(), Some((Rank(10), "early")));
+    /// assert_eq!(q.pop(), Some((Rank(20), "late")));
     /// ```
     pub fn make_enum<T>(self) -> EnumPifo<T> {
         match self {
@@ -458,18 +397,6 @@ impl<T> PifoQueue<T> for EnumPifo<T> {
 
     fn capacity(&self) -> Option<usize> {
         enum_pifo_delegate!(self, q => q.capacity())
-    }
-
-    // Explicit delegation (instead of the trait defaults) so the engines'
-    // amortized batch specializations are reached through the enum too.
-    #[inline]
-    fn push_batch(&mut self, items: Vec<(Rank, T)>) -> Vec<PifoFull<T>> {
-        enum_pifo_delegate!(self, q => q.push_batch(items))
-    }
-
-    #[inline]
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        enum_pifo_delegate!(self, q => q.pop_batch(max, out))
     }
 }
 
@@ -621,14 +548,6 @@ impl<T> PifoQueue<T> for SortedArrayPifo<T> {
     fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-
-    /// The sorted prefix *is* the batch: one bulk drain from the front
-    /// instead of `max` pop-front calls.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        let n = max.min(self.items.len());
-        out.extend(self.items.drain(..n).map(|(r, _, t)| (r, t)));
-        n
-    }
 }
 
 impl<T> PifoInspect<T> for SortedArrayPifo<T> {
@@ -759,52 +678,6 @@ impl<T> PifoQueue<T> for HeapPifo<T> {
 
     fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// Amortized batch pop. Sequential pops pay one cache-hostile
-    /// sift-down per element; a batch that takes a large bite of the
-    /// heap does better by leaving heap order entirely:
-    ///
-    /// * `max >= len` — **sorted drain**: move the backing vector out,
-    ///   sort once by `(rank, seq)` (the exact pop order) and append —
-    ///   one cache-friendly sort instead of `len` sift-downs.
-    /// * `4 * max >= len` — **select + rebuild**: partition the `max`
-    ///   smallest entries to the front with `select_nth_unstable`
-    ///   (O(len) expected), sort only that prefix, and rebuild the heap
-    ///   from the remainder (`BinaryHeap::from`, O(len)).
-    /// * otherwise — per-element pops; for a small bite of a deep heap,
-    ///   `max log len` sift-downs beat an O(len) restructuring.
-    ///
-    /// All three produce byte-identical output — `(rank, seq)` is a
-    /// total order — enforced by the cross-backend differential suite.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        let len = self.heap.len();
-        if max == 0 || len == 0 {
-            return 0;
-        }
-        if max >= len {
-            let mut v = std::mem::take(&mut self.heap).into_vec();
-            v.sort_unstable_by_key(|e| (e.rank, e.seq));
-            out.extend(v.into_iter().map(|e| (e.rank, e.item)));
-            return len;
-        }
-        if 4 * max >= len {
-            let mut v = std::mem::take(&mut self.heap).into_vec();
-            v.select_nth_unstable_by_key(max, |e| (e.rank, e.seq));
-            let rest = v.split_off(max);
-            v.sort_unstable_by_key(|e| (e.rank, e.seq));
-            out.extend(v.into_iter().map(|e| (e.rank, e.item)));
-            self.heap = BinaryHeap::from(rest);
-            return max;
-        }
-        let before = out.len();
-        while out.len() - before < max {
-            match self.pop() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out.len() - before
     }
 }
 
@@ -1071,56 +944,6 @@ impl<T> PifoQueue<T> for BucketPifo<T> {
         self.unmark_if_empty(idx);
         self.len -= 1;
         Some((r, t))
-    }
-
-    /// Amortized batch push: the capacity gate is resolved **once** for
-    /// the whole batch (sequential semantics admit exactly the first
-    /// `capacity - len` elements, since nothing pops mid-batch), so the
-    /// per-element path is just seq-stamp + calendar placement.
-    fn push_batch(&mut self, items: Vec<(Rank, T)>) -> Vec<PifoFull<T>> {
-        let headroom = self
-            .capacity
-            .map_or(usize::MAX, |cap| cap.saturating_sub(self.len));
-        let mut rejected = Vec::new();
-        for (i, (rank, item)) in items.into_iter().enumerate() {
-            if i >= headroom {
-                rejected.push(PifoFull {
-                    rank,
-                    item,
-                    capacity: self.capacity.expect("finite headroom implies a bound"),
-                });
-                continue;
-            }
-            let seq = self.seq;
-            self.seq += 1;
-            self.place(rank, seq, item);
-            self.len += 1;
-        }
-        rejected
-    }
-
-    /// Amortized batch pop: whole calendar buckets are drained with one
-    /// bulk `VecDeque::drain` each, consulting the two-level bitmap once
-    /// per *bucket* (and clearing its bit once, when it empties) instead
-    /// of running find-first-set + unmark for every element. Length
-    /// bookkeeping is settled once per batch.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        let target = max.min(self.len);
-        out.reserve(target);
-        let mut taken = 0usize;
-        while taken < target {
-            if self.summary == 0 {
-                self.refill_from_overflow();
-            }
-            let idx = self.first_occupied().expect("taken < target <= len");
-            let bucket = &mut self.buckets[idx];
-            let take = bucket.len().min(target - taken);
-            out.extend(bucket.drain(..take).map(|(r, _, t)| (r, t)));
-            taken += take;
-            self.unmark_if_empty(idx);
-        }
-        self.len -= taken;
-        taken
     }
 
     fn peek(&self) -> Option<(Rank, &T)> {
@@ -1440,167 +1263,6 @@ mod tests {
                 assert_eq!(e.len(), 2, "{backend}");
             }
         }
-    }
-
-    // ---- Batch-API edge cases --------------------------------------------
-
-    /// An empty batch is a no-op on every backend: no rejects, no pops,
-    /// no state change.
-    #[test]
-    fn empty_batches_are_noops() {
-        for backend in PifoBackend::ALL {
-            let mut q: BoxedPifo<u32> = backend.make_bounded(4);
-            q.push(Rank(1), 10);
-            assert!(q.push_batch(Vec::new()).is_empty(), "{backend}");
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch(0, &mut out), 0, "{backend}");
-            assert!(out.is_empty(), "{backend}");
-            assert_eq!(q.len(), 1, "{backend}");
-        }
-    }
-
-    /// A batch that straddles the capacity bound admits exactly the
-    /// prefix that fits and reports every rejected element —
-    /// field-for-field unchanged, in input order — on every exact
-    /// backend. (Approximate gates legally refuse different elements;
-    /// their PifoFull round-trip is pinned by the approx property suite.)
-    #[test]
-    fn push_batch_straddling_capacity_reports_exact_rejects() {
-        for backend in PifoBackend::EXACT {
-            let mut q: BoxedPifo<(u64, &str)> = backend.make_bounded(3);
-            q.push(Rank(5), (5, "resident"));
-            // 4 more into 2 remaining slots: the last two must bounce,
-            // even though rank 0 would sit at the head.
-            let batch = vec![
-                (Rank(9), (9, "fits-a")),
-                (Rank(1), (1, "fits-b")),
-                (Rank(0), (0, "rejected-a")),
-                (Rank(7), (7, "rejected-b")),
-            ];
-            let rejected = q.push_batch(batch);
-            assert_eq!(
-                rejected,
-                vec![
-                    PifoFull {
-                        rank: Rank(0),
-                        item: (0, "rejected-a"),
-                        capacity: 3
-                    },
-                    PifoFull {
-                        rank: Rank(7),
-                        item: (7, "rejected-b"),
-                        capacity: 3
-                    },
-                ],
-                "{backend}"
-            );
-            assert_eq!(q.len(), 3, "{backend}");
-            let drained: Vec<&str> = std::iter::from_fn(|| q.pop())
-                .map(|(_, (_, s))| s)
-                .collect();
-            assert_eq!(drained, vec!["fits-b", "resident", "fits-a"], "{backend}");
-        }
-    }
-
-    /// `pop_batch` crosses bucket, calendar-window and overflow-heap
-    /// boundaries in one call, and stopping mid-bucket leaves the
-    /// remainder intact.
-    #[test]
-    fn pop_batch_crosses_structures_and_stops_mid_bucket() {
-        // Shift 0 → 4096-wide window; rank far beyond it goes to overflow.
-        let far = (NUM_BUCKETS as u64) * 7;
-        let mut q: BucketPifo<u32> = BucketPifo::with_shift(0);
-        for (i, r) in [3u64, 3, 3, 10, far, far + 1].iter().enumerate() {
-            q.push(Rank(*r), i as u32);
-        }
-        // Stop mid-bucket: two of the three rank-3 residents.
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(2, &mut out), 2);
-        assert_eq!(out, vec![(Rank(3), 0), (Rank(3), 1)]);
-        assert_eq!(q.len(), 4);
-        // One call drains the rest: tail of the bucket, the next bucket,
-        // then both overflow residents via a refill.
-        let mut rest = Vec::new();
-        assert_eq!(q.pop_batch(100, &mut rest), 4);
-        assert_eq!(
-            rest,
-            vec![
-                (Rank(3), 2),
-                (Rank(10), 3),
-                (Rank(far), 4),
-                (Rank(far + 1), 5)
-            ]
-        );
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    /// Mixing batched and per-element calls keeps one coherent FIFO
-    /// sequence: a batch pushed after singles ties behind them. The
-    /// expected trace is rank-sorted, so this sweeps the exact trio.
-    #[test]
-    fn batch_and_single_ops_interleave_coherently() {
-        for backend in PifoBackend::EXACT {
-            let mut q: BoxedPifo<u32> = backend.make();
-            q.push(Rank(5), 0);
-            assert!(q.push_batch(vec![(Rank(5), 1), (Rank(2), 2)]).is_empty());
-            q.push(Rank(5), 3);
-            let mut out = Vec::new();
-            q.pop_batch(2, &mut out);
-            assert_eq!(out, vec![(Rank(2), 2), (Rank(5), 0)], "{backend}");
-            assert_eq!(q.pop(), Some((Rank(5), 1)), "{backend}");
-            assert_eq!(q.pop(), Some((Rank(5), 3)), "{backend}");
-        }
-    }
-
-    /// `HeapPifo::pop_batch` crosses all three regimes — sorted drain
-    /// (`max >= len`), select + rebuild (`4*max >= len`), per-element
-    /// fallback — and each one matches the sequential-pop oracle,
-    /// including FIFO ties and the state left behind for later pops.
-    #[test]
-    fn heap_pop_batch_regimes_match_sequential_pops() {
-        let ranks: Vec<u64> = (0..64u64).map(|i| (i * 37) % 16).collect();
-        // (max, len-at-call) pairs chosen to land in each regime.
-        for max in [1usize, 3, 9, 20, 63, 64, 100] {
-            let mut batched: HeapPifo<u64> = HeapPifo::new();
-            let mut reference: HeapPifo<u64> = HeapPifo::new();
-            for (i, r) in ranks.iter().enumerate() {
-                batched.push(Rank(*r), i as u64);
-                reference.push(Rank(*r), i as u64);
-            }
-            let mut via_batch = Vec::new();
-            let n = batched.pop_batch(max, &mut via_batch);
-            assert_eq!(n, max.min(ranks.len()), "max={max}");
-            let via_pops: Vec<(Rank, u64)> = (0..n).map(|_| reference.pop().unwrap()).collect();
-            assert_eq!(via_batch, via_pops, "max={max}: batch diverges");
-            // The remainders agree element for element too.
-            loop {
-                let (a, b) = (batched.pop(), reference.pop());
-                assert_eq!(a, b, "max={max}: remainder diverges");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Interleaving batch pops with fresh pushes keeps one coherent
-    /// FIFO-tie sequence across the heap's internal rebuilds.
-    #[test]
-    fn heap_pop_batch_then_push_keeps_tie_order() {
-        let mut q: HeapPifo<u32> = HeapPifo::new();
-        for i in 0..10u32 {
-            q.push(Rank(5), i);
-        }
-        let mut out = Vec::new();
-        q.pop_batch(4, &mut out); // select + rebuild regime
-        assert_eq!(
-            out.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
-            [0, 1, 2, 3]
-        );
-        q.push(Rank(5), 100); // ties behind the survivors
-        let rest: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-        assert_eq!(rest, [4, 5, 6, 7, 8, 9, 100]);
     }
 
     // ---- BucketPifo-specific structure tests -----------------------------

@@ -58,7 +58,6 @@
 //! the visible [`SharedPacketPool::accounting_errors`] counter in release
 //! builds, instead of silently saturating.
 
-use crate::buffer::PktHandle;
 use crate::packet::{FlowId, Packet};
 use core::fmt;
 use std::cell::UnsafeCell;
@@ -66,6 +65,35 @@ use std::collections::HashMap;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+
+/// A 4-byte ticket naming one occupied slot of a [`SharedPacketPool`].
+///
+/// The scheduling tree circulates these through its PIFOs instead of
+/// packet clones (§4: a PIFO entry is a pointer into the shared buffer).
+/// Handles are only meaningful to the pool that issued them and only
+/// until the slot's last reference is released; the scheduling tree keeps
+/// this discipline internally and never exposes a dangling handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PktHandle(u32);
+
+impl PktHandle {
+    /// Raw slot index (for diagnostics).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Mint a handle from a raw slot index — only the pool's slab may
+    /// do this.
+    fn from_raw(idx: u32) -> PktHandle {
+        PktHandle(idx)
+    }
+}
+
+impl fmt::Display for PktHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "h{}", self.0)
+    }
+}
 
 /// Per-entity admission threshold — the §6.1 counter comparison, shared
 /// by the pool's per-port policy and the simulator's per-flow
@@ -873,23 +901,6 @@ impl SharedPacketPool {
         }
     }
 
-    /// Pre-grow the slab so the next `additional` inserts allocate no
-    /// chunks mid-burst; a no-op once the working set has warmed up
-    /// (freed slots are always reused first).
-    pub fn reserve(&self, additional: usize) {
-        let target = self.next_slot.load(Ordering::Acquire) as u64 + additional as u64;
-        if target == 0 {
-            return;
-        }
-        let last = u32::try_from(target - 1).unwrap_or(u32::MAX - 1);
-        let (k_last, _) = chunk_of(last);
-        for k in 0..=k_last {
-            // Ensure via the first index of each chunk.
-            let first = ((1u64 << CHUNK0_BITS) << k) - (1 << CHUNK0_BITS);
-            self.ensure_chunk(first as u32);
-        }
-    }
-
     /// Live packets across all ports.
     pub fn live(&self) -> usize {
         self.live.load(Ordering::Acquire)
@@ -1222,11 +1233,6 @@ impl PoolHandle {
         self.pool.release(handle)
     }
 
-    /// Pre-grow the slab for `additional` imminent inserts.
-    pub fn reserve(&self, additional: usize) {
-        self.pool.reserve(additional);
-    }
-
     /// Live packets across the whole pool (all ports).
     pub fn pool_live(&self) -> usize {
         self.pool.live()
@@ -1513,6 +1519,31 @@ mod tests {
         assert_eq!(c.index(), a.index(), "freed slot is reused first");
         assert_eq!(h.pool().slot_count(), 2, "no growth while free slots exist");
         h.pool().assert_coherent();
+    }
+
+    /// Ten fill-to-capacity / drain-all rounds leave the pool empty and
+    /// coherent after each one, and the slab never grows past capacity:
+    /// every freed slot returns to the free list.
+    #[test]
+    fn free_list_restored_after_churn() {
+        let h = PoolHandle::sole_owner(Some(8));
+        let mut handles = Vec::new();
+        for round in 0..10u64 {
+            for i in 0..8 {
+                handles.push(h.try_insert(pkt(round * 8 + i, 0)).unwrap());
+            }
+            assert!(h.try_insert(pkt(999, 0)).is_err(), "at capacity");
+            for hd in handles.drain(..) {
+                h.release(hd);
+            }
+            assert_eq!(h.pool_live(), 0);
+            h.pool().assert_coherent();
+        }
+        assert_eq!(
+            h.pool().slot_count(),
+            8,
+            "working set never exceeds capacity"
+        );
     }
 
     #[test]

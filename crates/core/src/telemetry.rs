@@ -29,10 +29,9 @@
 //!
 //! Telemetry observes; it never steers. Enabling any mode leaves
 //! departure traces bit-identical (asserted by the workspace tests and
-//! inside the overhead bench), and hook sites are placed at points whose
-//! order is identical between the per-packet and batched tree paths, so
-//! the event stream itself is byte-reproducible for a seeded run across
-//! `PerPacket`/`Batched`/`Parallel` drains.
+//! inside the overhead bench), and every hook sits on the one per-packet
+//! tree walk, so the event stream itself is byte-reproducible for a
+//! seeded run across `PerPacket`/`Parallel` drains.
 
 use crate::packet::FlowId;
 use crate::time::Nanos;

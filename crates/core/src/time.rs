@@ -109,7 +109,8 @@ impl fmt::Display for Nanos {
 
 /// Transmission time of `bytes` on a link of `rate_bps` bits/second,
 /// rounded up to the next nanosecond (a packet is not done until its last
-/// bit has left).
+/// bit has left). Saturates at [`Nanos::MAX`] when the exact time does
+/// not fit in 64 bits.
 ///
 /// # Panics
 ///
@@ -118,13 +119,19 @@ pub fn tx_time(bytes: u64, rate_bps: u64) -> Nanos {
     assert!(rate_bps > 0, "link rate must be positive");
     let bits = (bytes as u128) * 8 * 1_000_000_000;
     let rate = rate_bps as u128;
-    Nanos(bits.div_ceil(rate) as u64)
+    Nanos(saturate(bits.div_ceil(rate)))
 }
 
 /// Number of whole bytes a link of `rate_bps` bits/second can serve in the
-/// interval `dt` (rounded down).
+/// interval `dt` (rounded down), saturating at `u64::MAX`.
 pub fn bytes_in(dt: Nanos, rate_bps: u64) -> u64 {
-    ((dt.0 as u128) * (rate_bps as u128) / 8 / 1_000_000_000) as u64
+    // Cannot overflow: (2^64 - 1)^2 < 2^128.
+    saturate((dt.0 as u128) * (rate_bps as u128) / 8 / 1_000_000_000)
+}
+
+/// Narrow to 64 bits, clamping instead of wrapping.
+fn saturate(x: u128) -> u64 {
+    u64::try_from(x).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -170,6 +177,22 @@ mod tests {
         let rate = 10_000_000_000;
         assert_eq!(bytes_in(Nanos(1200), rate), 1500);
         assert_eq!(bytes_in(Nanos(0), rate), 0);
+    }
+
+    #[test]
+    fn tx_time_saturates_instead_of_wrapping() {
+        // 4 GiB at 1 bit/s needs ~3.4e19 ns, more than u64::MAX.
+        assert_eq!(tx_time(u32::MAX as u64, 1), Nanos::MAX);
+        assert_eq!(tx_time(u64::MAX, 1), Nanos::MAX);
+        // Just below the limit the exact value still comes through.
+        assert_eq!(tx_time(1 << 20, 1), Nanos((1u64 << 23) * 1_000_000_000));
+    }
+
+    #[test]
+    fn bytes_in_saturates_instead_of_wrapping() {
+        assert_eq!(bytes_in(Nanos(u64::MAX), u64::MAX), u64::MAX);
+        // The exact result where it fits.
+        assert_eq!(bytes_in(Nanos(u64::MAX), 8), u64::MAX / 1_000_000_000);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Multi-port switch fabric: one shared classifier spraying mixed
 //! traffic — an incast storm, Markov on/off bursts and smooth CBR —
 //! across four egress ports, each scheduled by its own PIFO tree, then
-//! drained at line rate with the batched hot path.
+//! drained at line rate.
 //!
 //! ```sh
 //! cargo run --release --example multi_port_switch
@@ -68,8 +68,8 @@ fn main() {
         }
     };
 
-    // One fabric per backend; batched and per-packet drains agree bit
-    // for bit, so run the batched one and cross-check on the reference.
+    // One fabric per backend; parallel and per-packet drains agree bit
+    // for bit, so run the parallel one and cross-check on the reference.
     for backend in PifoBackend::ALL {
         let build = || {
             let mut sb = SwitchBuilder::new(10_000_000_000); // 10 Gb/s ports
@@ -80,7 +80,7 @@ fn main() {
             sb.build(Box::new(classify))
         };
         let t0 = std::time::Instant::now();
-        let run = build().run(&arrivals, DrainMode::Batched);
+        let run = build().run(&arrivals, DrainMode::Parallel { workers: 0 });
         let elapsed = t0.elapsed();
 
         println!(
@@ -113,7 +113,7 @@ fn main() {
                     .all(|(x, y)| x.packet == y.packet && x.start == y.start)
         });
         println!(
-            "  batched == per-packet traces: {}\n",
+            "  parallel == per-packet traces: {}\n",
             if agree {
                 "yes (bit-identical)"
             } else {

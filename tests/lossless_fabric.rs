@@ -15,7 +15,7 @@
 //! * with a non-zero pause-wire delay, the in-flight packets land in the
 //!   headroom skid buffer — exercised, bounded, and still lossless;
 //! * departure traces **and the pause-event log** are bit-identical
-//!   across every exact PIFO backend and all three drain modes.
+//!   across every exact PIFO backend and both drain modes.
 
 use pifo::prelude::*;
 
@@ -115,7 +115,7 @@ fn assert_lossless(run: &LosslessRun, label: &str) {
 
 #[test]
 fn incast_storm_under_backpressure_drops_nothing() {
-    let run = run_on_die(PifoBackend::Bucket, DrainMode::Batched);
+    let run = run_on_die(PifoBackend::Bucket, DrainMode::PerPacket);
     assert_lossless(&run, "on-die");
 
     // The storm is real: the hog was paused, repeatedly, and the victim
@@ -182,7 +182,7 @@ fn wire_delay_fills_headroom_but_never_overflows() {
         .with_headroom(160)
         .with_wire_delay(Nanos(400));
     let mut fabric = build_fabric(PifoBackend::Bucket, 32, PORTS * 32, cfg);
-    let run = fabric.run(sources(), DrainMode::Batched);
+    let run = fabric.run(sources(), DrainMode::PerPacket);
 
     assert_lossless(&run, "wire-delay");
     assert!(
@@ -202,7 +202,7 @@ fn wire_delay_fills_headroom_but_never_overflows() {
 }
 
 /// Departure traces and the pause-event log are bit-identical across
-/// every exact backend and all three drain modes — backpressure does not
+/// every exact backend and both drain modes — backpressure does not
 /// cost the fabric its determinism.
 #[test]
 fn lossless_traces_identical_across_backends_and_drain_modes() {
@@ -211,11 +211,7 @@ fn lossless_traces_identical_across_backends_and_drain_modes() {
     assert!(reference.count_events(PauseAction::Pause) > 0);
 
     for backend in PifoBackend::EXACT {
-        for mode in [
-            DrainMode::PerPacket,
-            DrainMode::Batched,
-            DrainMode::Parallel { workers: 4 },
-        ] {
+        for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 4 }] {
             let run = run_on_die(backend, mode);
             let label = format!("{backend}/{}", mode.label());
             assert_lossless(&run, &label);

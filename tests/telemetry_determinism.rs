@@ -5,7 +5,7 @@
 //!    exact backend × every drain mode.
 //! 2. **Deterministic** — two identically-built runs produce
 //!    byte-identical event streams and snapshots, and the event stream
-//!    is invariant across `PerPacket`/`Batched`/`Parallel` drains.
+//!    is invariant across `PerPacket`/`Parallel` drains.
 //! 3. **Reconciles** — telemetry-derived waits equal the
 //!    departure-derived waits of [`waits_of`](pifo::sim::metrics), and
 //!    the same holds through `latency_stats` percentiles.
@@ -74,16 +74,11 @@ fn build_switch(
     sb.build(Box::new(move |p: &Packet| p.flow.0 as usize % ports))
 }
 
-const MODES: [DrainMode; 3] = [
-    DrainMode::PerPacket,
-    DrainMode::Batched,
-    DrainMode::Parallel { workers: 2 },
-];
+const MODES: [DrainMode; 2] = [DrainMode::PerPacket, DrainMode::Parallel { workers: 2 }];
 
 fn mode_name(mode: DrainMode) -> &'static str {
     match mode {
         DrainMode::PerPacket => "per_packet",
-        DrainMode::Batched => "batched",
         DrainMode::Parallel { .. } => "parallel",
     }
 }
@@ -160,7 +155,7 @@ proptest! {
     ) {
         let arr = arrivals(flows, waves, wave_pkts);
         let mut sw = build_switch(4, 256, PifoBackend::default(), Some(TelemetryConfig::with_paths()));
-        let run = sw.run(&arr, DrainMode::Batched);
+        let run = sw.run(&arr, DrainMode::PerPacket);
 
         for port in &run.ports {
             prop_assert_eq!(port.paths.len(), port.departures.len(),
@@ -230,9 +225,9 @@ proptest! {
                 .collect()
         };
 
-        let base = build(false).run(sources(), DrainMode::Batched);
-        let a = build(true).run(sources(), DrainMode::Batched);
-        let b = build(true).run(sources(), DrainMode::Batched);
+        let base = build(false).run(sources(), DrainMode::PerPacket);
+        let a = build(true).run(sources(), DrainMode::PerPacket);
+        let b = build(true).run(sources(), DrainMode::PerPacket);
 
         // Observes, never steers — departures AND the pause log.
         for (x, y) in base.run.ports.iter().zip(&a.run.ports) {
@@ -289,7 +284,7 @@ fn lossless_snapshot_carries_pause_events() {
             )) as Box<dyn TrafficSource>
         })
         .collect();
-    let run = fabric.run(sources, DrainMode::Batched);
+    let run = fabric.run(sources, DrainMode::PerPacket);
     let snap = run.telemetry.as_ref().expect("telemetry on");
 
     assert!(

@@ -157,7 +157,7 @@ impl Cell {
 /// Timed replay on the bare enum-dispatched queue — the same hot path a
 /// switch port drives, no tracker attached.
 fn timed_replay(backend: PifoBackend, occ: usize, trace: &[TraceOp]) -> (u64, u128) {
-    let mut q = backend.make_enum_bounded::<()>(occ);
+    let mut q = backend.make_bounded::<()>(occ);
     let mut pops = 0u64;
     let start = Instant::now();
     for op in trace {

@@ -462,8 +462,6 @@ pub fn minrate() -> String {
 /// (static, or Choudhury–Hahne dynamic \[14\]) in front of the same WFQ
 /// restore the weighted shares.
 pub fn buffers() -> String {
-    use pifo_sim::{ManagedScheduler, SharedBuffer, Threshold};
-
     let end = Nanos::from_millis(10);
     let arrivals = cbr_arrivals(&[1, 2, 3], GBIT10, end);
     let weights = WeightTable::from_pairs([(FlowId(1), 1), (FlowId(2), 2), (FlowId(3), 4)]);
@@ -502,10 +500,22 @@ pub fn buffers() -> String {
         ("static 85/flow", Threshold::Static(85)),
         ("dynamic alpha=1", Threshold::Dynamic { num: 1, den: 1 }),
     ] {
-        let mut sched = ManagedScheduler::new(
-            TreeScheduler::new("wfq", single_stfq_tree(weights.clone(), usize::MAX)),
-            SharedBuffer::new(256, threshold),
-        );
+        // The same WFQ tree, admitting against per-flow counters of a
+        // 256-packet pool before it ranks.
+        let pool = SharedPacketPool::new(
+            256,
+            AdmissionPolicy::PortFlow {
+                port: Threshold::Unlimited,
+                flow: threshold,
+            },
+        )
+        .into_shared();
+        let mut b = super::tree_builder();
+        let root = b.add_root("wfq", Box::new(Stfq::new(weights.clone())));
+        let tree = b
+            .build_in_pool(Box::new(move |_| root), pool.register_port())
+            .expect("valid");
+        let mut sched = TreeScheduler::new("wfq", tree);
         let deps = run_port(&arrivals, &mut sched, &cfg);
         let _ = writeln!(
             s,

@@ -13,13 +13,12 @@
 //!
 //! ## Layout
 //!
-//! * [`pifo`] — the PIFO contract ([`pifo::PifoQueue`] +
-//!   [`pifo::PifoInspect`]) and its interchangeable backends:
-//!   [`pifo::SortedArrayPifo`] (reference semantics), [`pifo::HeapPifo`]
-//!   (binary heap) and [`pifo::BucketPifo`] (Eiffel-style FFS bucket
-//!   calendar). [`pifo::PifoBackend`] selects one at runtime — boxed
-//!   ([`pifo::BoxedPifo`]) or statically dispatched ([`pifo::EnumPifo`]);
-//!   see the module docs for the "choosing a backend" table.
+//! * [`pifo`] — the PIFO contract ([`pifo::PifoQueue`]) and its
+//!   interchangeable backends: [`pifo::SortedArrayPifo`] (reference
+//!   semantics), [`pifo::HeapPifo`] (binary heap) and [`pifo::BucketPifo`]
+//!   (Eiffel-style FFS bucket calendar). [`pifo::PifoBackend`] selects one
+//!   at runtime as a statically dispatched [`pifo::EnumPifo`]; see the
+//!   module docs for the "choosing a backend" table.
 //! * [`approx`] — deliberately inexact engines behind the same contract:
 //!   [`approx::SpPifo`] (k strict-priority FIFOs, SP-PIFO bound
 //!   adaptation), [`approx::Rifo`] (windowed min/max admission FIFO),
@@ -90,8 +89,7 @@ pub mod prelude {
     pub use crate::metrics::{InversionStats, InversionTracker};
     pub use crate::packet::{FlowId, Packet, PacketId};
     pub use crate::pifo::{
-        BoxedPifo, BucketPifo, EnumPifo, HeapPifo, PifoBackend, PifoEngine, PifoFull, PifoInspect,
-        PifoQueue, SortedArrayPifo,
+        BucketPifo, EnumPifo, HeapPifo, PifoBackend, PifoFull, PifoQueue, SortedArrayPifo,
     };
     pub use crate::pool::{
         AdmissionPolicy, PktHandle, PoolError, PoolHandle, PoolStats, PortPoolStats,

@@ -251,8 +251,8 @@ pub fn replay_with_stats(
     trace: &[TraceOp],
 ) -> (Vec<Rank>, InversionStats) {
     let mut q = match capacity {
-        Some(cap) => backend.make_enum_bounded::<()>(cap),
-        None => backend.make_enum::<()>(),
+        Some(cap) => backend.make_bounded::<()>(cap),
+        None => backend.make::<()>(),
     };
     let mut tracker = InversionTracker::new();
     let mut pops = Vec::new();

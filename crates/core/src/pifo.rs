@@ -11,21 +11,16 @@
 //! The PIFO abstraction is deliberately separated from its implementation:
 //! the paper's whole point is that *one* queueing discipline supports many
 //! scheduling algorithms, and symmetrically this crate lets *many* queue
-//! engines implement one discipline. Two traits capture the contract:
+//! engines implement one discipline. One trait captures the contract:
+//! [`PifoQueue`] — one push per enqueue and one pop per dequeue, as in the
+//! paper's PIFO block (`try_push`/`pop`/`peek`/`len`/`capacity`), plus
+//! `iter_in_order`, an ordered view for introspection that is not on the
+//! per-packet path.
 //!
-//! * [`PifoQueue`] — the core operations every scheduler needs in the hot
-//!   path (`try_push`/`pop`/`peek`/`len`/`capacity`): one push per
-//!   enqueue and one pop per dequeue, as in the paper's PIFO block.
-//! * [`PifoInspect`] — ordered inspection and targeted removal
-//!   (`iter_in_order`, `peek_first_matching`, `pop_first_matching`), used
-//!   by the scheduling tree's introspection, the hardware model's
-//!   logical-PIFO sharing (§5.2) and PFC masking (§6.2). These may be
-//!   slower than the core ops; they are not on the per-packet path.
-//!
-//! [`PifoEngine`] is the combination of both, and what
-//! [`PifoBackend::make`] hands out as a trait object so that consumers —
-//! the scheduling tree, the simulator, the benches — never name a concrete
-//! queue type.
+//! [`PifoBackend`] selects an engine at runtime and [`PifoBackend::make`]
+//! hands it out as an [`EnumPifo`], so consumers — the scheduling tree,
+//! the simulator, the benches — never name a concrete queue type while
+//! push/pop still dispatch statically.
 //!
 //! # Choosing a backend
 //!
@@ -104,6 +99,13 @@ pub trait PifoQueue<T> {
     /// Capacity limit, if any.
     fn capacity(&self) -> Option<usize>;
 
+    /// Iterate over `(rank, item)` in dequeue order without removing.
+    ///
+    /// For introspection (the scheduling tree's `debug_pifo`) and the
+    /// property suites; it is **not** on the per-packet path, so engines
+    /// may materialise a sorted view in O(n log n).
+    fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_>;
+
     /// True when no element is buffered.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -118,39 +120,6 @@ pub trait PifoQueue<T> {
         }
     }
 }
-
-/// Ordered inspection and targeted removal, on top of [`PifoQueue`].
-///
-/// These operations exist for the scheduling tree's introspection
-/// (`debug_pifo`), the hardware model's logical-PIFO sharing — a pop
-/// targets "the first element with a given logical PIFO ID" (§5.2) — and
-/// PFC masking (§6.2). They are **not** on the per-packet hot path, so
-/// backends may implement them in O(n log n); the trait is object-safe so
-/// the whole contract fits behind one `dyn` pointer (see [`PifoEngine`]).
-pub trait PifoInspect<T>: PifoQueue<T> {
-    /// Iterate over `(rank, item)` in dequeue order without removing.
-    fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_>;
-
-    /// Peek the first element matching `pred` (head-most in dequeue order).
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)>;
-
-    /// Remove and return the first element matching `pred` (head-most in
-    /// dequeue order). All other elements keep their relative order.
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)>;
-}
-
-/// The complete backend contract: core queue operations plus inspection.
-///
-/// Everything `ScheduleTree` and the hardware model need fits behind
-/// `Box<dyn PifoEngine<T>>`; blanket-implemented for any type providing
-/// both sub-traits.
-pub trait PifoEngine<T>: PifoInspect<T> {}
-
-impl<T, Q: PifoInspect<T> + ?Sized> PifoEngine<T> for Q {}
-
-/// A heap-allocated, backend-erased PIFO — what [`PifoBackend::make`]
-/// returns and what every `ScheduleTree` node stores.
-pub type BoxedPifo<T> = Box<dyn PifoEngine<T>>;
 
 // ---------------------------------------------------------------------------
 // Backend selector
@@ -241,52 +210,20 @@ impl PifoBackend {
         }
     }
 
-    /// Construct an unbounded queue of this backend.
-    pub fn make<T: 'static>(self) -> BoxedPifo<T> {
-        match self {
-            PifoBackend::SortedArray => Box::new(SortedArrayPifo::new()),
-            PifoBackend::Heap => Box::new(HeapPifo::new()),
-            PifoBackend::Bucket => Box::new(BucketPifo::new()),
-            PifoBackend::SpPifo { queues } => Box::new(crate::approx::SpPifo::new(queues as usize)),
-            PifoBackend::Rifo => Box::new(crate::approx::Rifo::new()),
-            PifoBackend::Aifo => Box::new(crate::approx::Aifo::new()),
-        }
-    }
-
-    /// Construct a queue of this backend that rejects pushes beyond
-    /// `capacity` elements.
-    pub fn make_bounded<T: 'static>(self, capacity: usize) -> BoxedPifo<T> {
-        match self {
-            PifoBackend::SortedArray => Box::new(SortedArrayPifo::with_capacity(capacity)),
-            PifoBackend::Heap => Box::new(HeapPifo::with_capacity(capacity)),
-            PifoBackend::Bucket => Box::new(BucketPifo::with_capacity(capacity)),
-            PifoBackend::SpPifo { queues } => Box::new(crate::approx::SpPifo::with_capacity(
-                queues as usize,
-                capacity,
-            )),
-            PifoBackend::Rifo => Box::new(crate::approx::Rifo::with_capacity(capacity)),
-            PifoBackend::Aifo => Box::new(crate::approx::Aifo::with_capacity(capacity)),
-        }
-    }
-
-    /// Construct an unbounded queue of this backend with **static**
-    /// dispatch: an [`EnumPifo`] instead of a boxed trait object. Hot
-    /// paths that own their queues (the scheduling tree's per-node PIFOs)
-    /// use this so push/pop monomorphize; [`make`](Self::make) remains the
-    /// object-safe choice for heterogeneous collections behind one
-    /// pointer type.
+    /// Construct an unbounded queue of this backend: an [`EnumPifo`], so
+    /// push/pop dispatch through one `match` and monomorphize.
     ///
     /// ```
     /// use pifo_core::prelude::*;
     ///
-    /// let mut q = PifoBackend::Bucket.make_enum::<&str>();
+    /// let mut q = PifoBackend::Bucket.make::<&str>();
     /// assert_eq!(q.backend(), PifoBackend::Bucket);
     /// q.push(Rank(20), "late");
     /// q.push(Rank(10), "early");
     /// assert_eq!(q.pop(), Some((Rank(10), "early")));
     /// assert_eq!(q.pop(), Some((Rank(20), "late")));
     /// ```
-    pub fn make_enum<T>(self) -> EnumPifo<T> {
+    pub fn make<T>(self) -> EnumPifo<T> {
         match self {
             PifoBackend::SortedArray => EnumPifo::SortedArray(SortedArrayPifo::new()),
             PifoBackend::Heap => EnumPifo::Heap(HeapPifo::new()),
@@ -299,8 +236,9 @@ impl PifoBackend {
         }
     }
 
-    /// [`make_enum`](Self::make_enum) with a capacity bound.
-    pub fn make_enum_bounded<T>(self, capacity: usize) -> EnumPifo<T> {
+    /// Construct a queue of this backend that rejects pushes beyond
+    /// `capacity` elements.
+    pub fn make_bounded<T>(self, capacity: usize) -> EnumPifo<T> {
         match self {
             PifoBackend::SortedArray => {
                 EnumPifo::SortedArray(SortedArrayPifo::with_capacity(capacity))
@@ -317,17 +255,15 @@ impl PifoBackend {
 }
 
 // ---------------------------------------------------------------------------
-// EnumPifo — static dispatch over the three engines
+// EnumPifo — static dispatch over the six engines
 // ---------------------------------------------------------------------------
 
-/// A closed sum of the three queue engines with `match` dispatch.
+/// A closed sum of the six queue engines with `match` dispatch — what
+/// [`PifoBackend::make`] returns and what every `ScheduleTree` node stores.
 ///
-/// Semantically identical to the corresponding [`BoxedPifo`] (both
-/// delegate to the same implementations), but the compiler sees concrete
-/// types through one `match`, so hot-path `push`/`pop`/`peek` inline and
-/// monomorphize instead of going through a vtable. The scheduling tree
-/// stores one of these per node; public APIs that need an open set of
-/// engines keep using [`BoxedPifo`].
+/// The compiler sees concrete types through one `match`, so hot-path
+/// `push`/`pop`/`peek` inline and monomorphize instead of going through a
+/// vtable.
 #[derive(Debug, Clone)]
 pub enum EnumPifo<T> {
     /// [`SortedArrayPifo`] — the O(n)-insert reference.
@@ -398,19 +334,9 @@ impl<T> PifoQueue<T> for EnumPifo<T> {
     fn capacity(&self) -> Option<usize> {
         enum_pifo_delegate!(self, q => q.capacity())
     }
-}
 
-impl<T> PifoInspect<T> for EnumPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         enum_pifo_delegate!(self, q => q.iter_in_order())
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        enum_pifo_delegate!(self, q => q.peek_first_matching(pred))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        enum_pifo_delegate!(self, q => q.pop_first_matching(pred))
     }
 }
 
@@ -505,13 +431,6 @@ impl<T> SortedArrayPifo<T> {
             capacity: Some(capacity),
         }
     }
-
-    /// Iterate over `(rank, item)` in dequeue order without removing.
-    /// (Also available backend-agnostically as
-    /// [`PifoInspect::iter_in_order`].)
-    pub fn iter(&self) -> impl Iterator<Item = (Rank, &T)> {
-        self.items.iter().map(|(r, _, t)| (*r, t))
-    }
 }
 
 impl<T> PifoQueue<T> for SortedArrayPifo<T> {
@@ -548,23 +467,9 @@ impl<T> PifoQueue<T> for SortedArrayPifo<T> {
     fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-}
 
-impl<T> PifoInspect<T> for SortedArrayPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
-        Box::new(self.iter())
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.items
-            .iter()
-            .find(|(_, _, t)| pred(t))
-            .map(|(r, _, t)| (*r, t))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        let idx = self.items.iter().position(|(_, _, t)| pred(t))?;
-        self.items.remove(idx).map(|(r, _, t)| (r, t))
+        Box::new(self.items.iter().map(|(r, _, t)| (*r, t)))
     }
 }
 
@@ -601,9 +506,9 @@ impl<T> PartialOrd for HeapEntry<T> {
 
 /// Binary-heap PIFO with stable FIFO tie-breaking: `O(log n)` push/pop.
 ///
-/// Functionally identical to [`SortedArrayPifo`]. Inspection operations
-/// materialise a sorted view, so they cost O(n log n) — fine for their
-/// debug/model use, not for the hot path.
+/// Functionally identical to [`SortedArrayPifo`]. `iter_in_order`
+/// materialises a sorted view, so it costs O(n log n) — fine for its
+/// debug use, not for the hot path.
 #[derive(Debug, Clone)]
 pub struct HeapPifo<T> {
     heap: BinaryHeap<HeapEntry<T>>,
@@ -679,27 +584,9 @@ impl<T> PifoQueue<T> for HeapPifo<T> {
     fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-}
 
-impl<T> PifoInspect<T> for HeapPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         Box::new(self.sorted_refs().into_iter().map(|e| (e.rank, &e.item)))
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.sorted_refs()
-            .into_iter()
-            .find(|e| pred(&e.item))
-            .map(|e| (e.rank, &e.item))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.sort_by_key(|e| (e.rank, e.seq));
-        let pos = entries.iter().position(|e| pred(&e.item));
-        let removed = pos.map(|p| entries.remove(p));
-        self.heap = BinaryHeap::from(entries);
-        removed.map(|e| (e.rank, e.item))
     }
 }
 
@@ -961,9 +848,7 @@ impl<T> PifoQueue<T> for BucketPifo<T> {
     fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-}
 
-impl<T> PifoInspect<T> for BucketPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         // Calendar ranks all precede overflow ranks (horizon invariant),
         // so dequeue order is: buckets by index, then overflow sorted.
@@ -974,35 +859,6 @@ impl<T> PifoInspect<T> for BucketPifo<T> {
                 .flat_map(|b| b.iter().map(|(r, _, t)| (*r, t)))
                 .chain(over.into_iter().map(|e| (e.rank, &e.item))),
         )
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.iter_in_order().find(|(_, t)| pred(t))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        // Scan the calendar in dequeue order first.
-        for idx in 0..NUM_BUCKETS {
-            if self.buckets[idx].is_empty() {
-                continue;
-            }
-            if let Some(pos) = self.buckets[idx].iter().position(|(_, _, t)| pred(t)) {
-                let (r, _, t) = self.buckets[idx].remove(pos).expect("position exists");
-                self.unmark_if_empty(idx);
-                self.len -= 1;
-                return Some((r, t));
-            }
-        }
-        // Then the overflow heap, in dequeue order.
-        let mut entries = std::mem::take(&mut self.overflow).into_vec();
-        entries.sort_by_key(|e| (e.rank, e.seq));
-        let pos = entries.iter().position(|e| pred(&e.item));
-        let removed = pos.map(|p| entries.remove(p));
-        self.overflow = BinaryHeap::from(entries);
-        removed.map(|e| {
-            self.len -= 1;
-            (e.rank, e.item)
-        })
     }
 }
 
@@ -1129,48 +985,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_first_matching_respects_head_order() {
-        // Exercised through the backend-erased engine, as the hw model
-        // uses it.
-        for backend in PifoBackend::ALL {
-            let mut q: BoxedPifo<(&str, u32)> = backend.make();
-            q.push(Rank(1), ("a", 1));
-            q.push(Rank(2), ("b", 2));
-            q.push(Rank(3), ("a", 3));
-            // First "a" by dequeue order is the rank-1 one.
-            let (r, (tag, v)) = q.pop_first_matching(&mut |(t, _)| *t == "a").unwrap();
-            assert_eq!((r, tag, v), (Rank(1), "a", 1), "{backend}");
-            // Remaining order intact.
-            assert_eq!(q.pop().unwrap().1, ("b", 2), "{backend}");
-            assert_eq!(q.pop().unwrap().1, ("a", 3), "{backend}");
-            assert!(q.is_empty(), "{backend}");
-        }
-    }
-
-    #[test]
-    fn peek_first_matching_finds_headmost() {
-        for backend in PifoBackend::ALL {
-            let mut q: BoxedPifo<u32> = backend.make();
-            q.push(Rank(4), 40u32);
-            q.push(Rank(2), 21u32);
-            q.push(Rank(3), 31u32);
-            let (r, v) = q.peek_first_matching(&mut |v| *v % 2 == 1).unwrap();
-            assert_eq!((r, *v), (Rank(2), 21), "{backend}");
-            assert_eq!(q.len(), 3, "{backend}");
-        }
-    }
-
-    #[test]
     fn iter_in_order_matches_drain_order() {
         for backend in PifoBackend::ALL {
-            let mut q: BoxedPifo<u64> = backend.make();
+            let mut q = backend.make::<u64>();
             // Spread ranks across buckets, within one bucket, and into the
             // bucket backend's overflow region.
             for (i, r) in [5u64, 5, 1 << 30, 3, 700, 5, 1 << 40, 0].iter().enumerate() {
                 q.push(Rank(*r), i as u64);
             }
             let via_iter: Vec<(Rank, u64)> = q.iter_in_order().map(|(r, v)| (r, *v)).collect();
-            let via_drain: Vec<(Rank, u64)> = drain(&mut *q);
+            let via_drain: Vec<(Rank, u64)> = drain(&mut q);
             assert_eq!(via_iter, via_drain, "{backend}");
         }
     }
@@ -1217,52 +1041,64 @@ mod tests {
         }
     }
 
-    /// The statically-dispatched enum and the boxed trait object are the
-    /// same engines: identical traces, inspection views and admission.
+    /// `make` hands out the selected engine behind the enum: the
+    /// dispatch layer reports its backend and forwards every operation,
+    /// so the enum's trace, inspection view and admission equal those of
+    /// the concrete engine driven directly.
     #[test]
-    fn enum_pifo_matches_boxed_engine() {
-        for backend in PifoBackend::ALL {
-            let mut e = backend.make_enum::<u32>();
-            let mut b: BoxedPifo<u32> = backend.make();
+    fn enum_pifo_matches_concrete_engine() {
+        fn check<Q: PifoQueue<u32>>(backend: PifoBackend, mut c: Q) {
+            let mut e = backend.make::<u32>();
             assert_eq!(e.backend(), backend);
             for (i, r) in [5u64, 1, 1 << 40, 5, 0, 700].iter().enumerate() {
                 e.push(Rank(*r), i as u32);
-                b.push(Rank(*r), i as u32);
+                c.push(Rank(*r), i as u32);
             }
             let ve: Vec<_> = e.iter_in_order().map(|(r, v)| (r, *v)).collect();
-            let vb: Vec<_> = b.iter_in_order().map(|(r, v)| (r, *v)).collect();
-            assert_eq!(ve, vb, "{backend} inspection diverges");
-            loop {
-                let (x, y) = (e.pop(), b.pop());
-                assert_eq!(x, y, "{backend} pop diverges");
-                if x.is_none() {
-                    break;
-                }
-            }
+            let vc: Vec<_> = c.iter_in_order().map(|(r, v)| (r, *v)).collect();
+            assert_eq!(ve, vc, "{backend} inspection diverges");
+            assert_eq!(drain(&mut e), drain(&mut c), "{backend} pops diverge");
         }
+        check(PifoBackend::SortedArray, SortedArrayPifo::new());
+        check(PifoBackend::Heap, HeapPifo::new());
+        check(PifoBackend::Bucket, BucketPifo::new());
+        check(
+            PifoBackend::SpPifo { queues: 8 },
+            crate::approx::SpPifo::new(8),
+        );
+        check(PifoBackend::Rifo, crate::approx::Rifo::new());
+        check(PifoBackend::Aifo, crate::approx::Aifo::new());
     }
 
     #[test]
-    fn enum_pifo_bounded_rejects_like_boxed() {
-        for backend in PifoBackend::ALL {
-            let mut e = backend.make_enum_bounded::<u8>(2);
-            let mut b: BoxedPifo<u8> = backend.make_bounded(2);
+    fn enum_pifo_bounded_rejects_like_concrete_engine() {
+        fn check<Q: PifoQueue<u8>>(backend: PifoBackend, mut c: Q) {
+            let mut e = backend.make_bounded::<u8>(2);
             assert_eq!(e.capacity(), Some(2));
             for r in 0..3u64 {
                 assert_eq!(
                     e.try_push(Rank(r), r as u8),
-                    b.try_push(Rank(r), r as u8),
+                    c.try_push(Rank(r), r as u8),
                     "{backend} admission diverges"
                 );
             }
-            assert_eq!(e.len(), b.len(), "{backend}");
+            assert_eq!(e.len(), c.len(), "{backend}");
             if backend.is_exact() {
                 // Exact backends admit first-come: exactly the capacity.
                 // Approximate gates may refuse earlier; only the
-                // enum-matches-boxed property is universal.
+                // enum-matches-engine property is universal.
                 assert_eq!(e.len(), 2, "{backend}");
             }
         }
+        check(PifoBackend::SortedArray, SortedArrayPifo::with_capacity(2));
+        check(PifoBackend::Heap, HeapPifo::with_capacity(2));
+        check(PifoBackend::Bucket, BucketPifo::with_capacity(2));
+        check(
+            PifoBackend::SpPifo { queues: 8 },
+            crate::approx::SpPifo::with_capacity(8, 2),
+        );
+        check(PifoBackend::Rifo, crate::approx::Rifo::with_capacity(2));
+        check(PifoBackend::Aifo, crate::approx::Aifo::with_capacity(2));
     }
 
     // ---- BucketPifo-specific structure tests -----------------------------

@@ -24,10 +24,10 @@
 //! * [`PoolHandle`] is one port's capability into the pool: the
 //!   scheduling tree holds a handle instead of owning a slab, so N trees
 //!   genuinely compete for — and are protected within — one memory.
-//! * [`Threshold`] is the reusable per-entity threshold arithmetic,
-//!   promoted from `pifo-sim`'s buffer-management module (which now
-//!   re-exports it); [`SharedBuffer`] is the counters-only §6.1 tracker
-//!   used by the simulator's scheduler wrappers.
+//! * [`Threshold`] is the per-entity threshold arithmetic, applied to a
+//!   port's occupancy, or — under [`AdmissionPolicy::PortFlow`] — to a
+//!   port's and a flow's. A pool with `PortFlow { port: Unlimited, flow:
+//!   t }` is a per-flow threshold buffer in front of one scheduler.
 //!
 //! # Threading model
 //!
@@ -95,9 +95,8 @@ impl fmt::Display for PktHandle {
     }
 }
 
-/// Per-entity admission threshold — the §6.1 counter comparison, shared
-/// by the pool's per-port policy and the simulator's per-flow
-/// [`SharedBuffer`] tracker.
+/// Per-entity admission threshold — the §6.1 counter comparison, applied
+/// by [`AdmissionPolicy`] to a port's or a flow's occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threshold {
     /// No threshold on this entity: only the other gates (global
@@ -172,11 +171,10 @@ pub enum AdmissionPolicy {
     /// various flows and ports" in one decision. A packet is admitted
     /// only if **both** thresholds pass: the port it targets and the flow
     /// it belongs to (per-flow occupancy is already tracked O(1) by the
-    /// pool's sharded flow table). This subsumes the per-flow
-    /// [`SharedBuffer`] tracker: `PortFlow { port: Unlimited, flow: t }`
-    /// is exactly a flow-threshold buffer, and mixed pairs express
-    /// lossless fabrics where a port watermark backs a per-flow fairness
-    /// cap.
+    /// pool's sharded flow table). `PortFlow { port: Unlimited, flow: t }`
+    /// is a plain per-flow threshold buffer (the §6.1 experiment puts one
+    /// in front of a single WFQ port), and mixed pairs express lossless
+    /// fabrics where a port watermark backs a per-flow fairness cap.
     PortFlow {
         /// Threshold applied to the target port's occupancy.
         port: Threshold,
@@ -470,25 +468,6 @@ fn checked_dec(counter: &AtomicUsize, errors: &AtomicU64, what: &str) {
     }
 }
 
-/// Checked decrement of one entry in a flow-occupancy map, removing the
-/// entry at zero so idle flows cost nothing. Returns `false` on
-/// underflow (no entry, or an entry already at zero) and lets the
-/// caller apply its double-release policy — this is the single copy of
-/// the checked flow decrement, shared by [`SharedPacketPool::release`]
-/// and [`SharedBuffer::on_dequeue`].
-fn dec_flow_entry(map: &mut HashMap<FlowId, usize>, flow: FlowId) -> bool {
-    match map.get_mut(&flow) {
-        Some(c) if *c > 0 => {
-            *c -= 1;
-            if *c == 0 {
-                map.remove(&flow);
-            }
-            true
-        }
-        _ => false,
-    }
-}
-
 impl SharedPacketPool {
     fn with_capacity_and_policy(capacity: Option<usize>, policy: AdmissionPolicy) -> Self {
         SharedPacketPool {
@@ -656,18 +635,7 @@ impl SharedPacketPool {
     /// a reject. Under concurrent mutation this is advisory — another
     /// thread may change the answer before you act on it.)
     pub fn would_admit(&self, port: usize) -> bool {
-        let live = self.live.load(Ordering::Acquire);
-        let free = match self.capacity {
-            Some(cap) => {
-                if live >= cap {
-                    return false;
-                }
-                cap - live
-            }
-            None => usize::MAX,
-        };
-        let used = self.port_counters(port).occupancy.load(Ordering::Acquire);
-        self.policy.admits(used, free)
+        self.admits(self.live(), self.port_occupancy(port), None)
     }
 
     /// Would a packet of `flow` for `port` be admitted right now? This is
@@ -678,23 +646,31 @@ impl SharedPacketPool {
     /// under concurrent mutation; the lossless fabric calls it serially
     /// in round order, where it is exact.
     pub fn would_admit_flow(&self, port: usize, flow: FlowId) -> bool {
-        let live = self.live.load(Ordering::Acquire);
+        self.admits(self.live(), self.port_occupancy(port), Some(flow))
+    }
+
+    /// The §6.1 verdict, written once for the probes and the insert: would
+    /// one more packet be admitted while the pool holds `live` packets and
+    /// the target port `port_used`? Global capacity first, then the
+    /// policy's thresholds against the free space; `flow` adds the flow
+    /// side of a [`AdmissionPolicy::PortFlow`] policy (`None` checks the
+    /// port side only). Callers pass the port's occupancy so a
+    /// [`PoolHandle`] can read its cached counters without the port-table
+    /// lock.
+    #[inline]
+    fn admits(&self, live: usize, port_used: usize, flow: Option<FlowId>) -> bool {
         let free = match self.capacity {
-            Some(cap) => {
-                if live >= cap {
-                    return false;
-                }
-                cap - live
-            }
+            Some(cap) if live >= cap => return false,
+            Some(cap) => cap - live,
             None => usize::MAX,
         };
-        let used = self.port_counters(port).occupancy.load(Ordering::Acquire);
-        let flow_used = if self.policy.uses_flow_state() {
-            self.flow_occupancy(flow)
-        } else {
-            0
-        };
-        self.policy.admits_port_flow(used, flow_used, free)
+        match flow {
+            Some(flow) if self.policy.uses_flow_state() => {
+                self.policy
+                    .admits_port_flow(port_used, self.flow_occupancy(flow), free)
+            }
+            _ => self.policy.admits(port_used, free),
+        }
     }
 
     /// Insert `packet` on behalf of `port`, with one reference, returning
@@ -716,42 +692,27 @@ impl SharedPacketPool {
         packet: Packet,
     ) -> Result<PktHandle, Packet> {
         // Phase 1: reserve global capacity, so `live <= capacity` holds
-        // at every instant even under concurrent inserts.
-        let free = match self.capacity {
-            Some(cap) => {
-                match self
-                    .live
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |l| {
-                        if l < cap {
-                            Some(l + 1)
-                        } else {
-                            None
-                        }
-                    }) {
-                    // The §6.1 free space as of the decision instant.
-                    Ok(prev) => cap - prev,
-                    Err(_) => {
-                        counters.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(packet);
-                    }
+        // at every instant even under concurrent inserts. `prev` is the
+        // live count as of the decision instant.
+        let prev = match self.capacity {
+            Some(cap) => match self
+                .live
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |l| {
+                    (l < cap).then_some(l + 1)
+                }) {
+                Ok(prev) => prev,
+                Err(_) => {
+                    counters.rejected.fetch_add(1, Ordering::Relaxed);
+                    return Err(packet);
                 }
-            }
-            None => {
-                self.live.fetch_add(1, Ordering::AcqRel);
-                usize::MAX
-            }
+            },
+            None => self.live.fetch_add(1, Ordering::AcqRel),
         };
         // Phase 2: the per-port (and, for a `PortFlow` policy, per-flow)
         // threshold (§5.1/§6.1), against the free space observed at
         // reservation — exactly the sequential decision.
         let used = counters.occupancy.load(Ordering::Acquire);
-        let admitted = if self.policy.uses_flow_state() {
-            let flow_used = self.flow_occupancy(packet.flow);
-            self.policy.admits_port_flow(used, flow_used, free)
-        } else {
-            self.policy.admits(used, free)
-        };
-        if !admitted {
+        if !self.admits(prev, used, Some(packet.flow)) {
             checked_dec(&self.live, &self.accounting_errors, "pool live");
             counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(packet);
@@ -877,15 +838,26 @@ impl SharedPacketPool {
             &self.accounting_errors,
             "port occupancy",
         );
-        {
+        // Checked flow decrement; the entry goes at zero so idle flows
+        // cost nothing.
+        let flow_ok = {
             let mut shard = self.flow_shard(packet.flow);
-            if !dec_flow_entry(&mut shard, packet.flow) {
-                drop(shard);
-                if cfg!(debug_assertions) {
-                    panic!("pool accounting underflow: flow occupancy (double release)");
+            match shard.get_mut(&packet.flow) {
+                Some(c) if *c > 0 => {
+                    *c -= 1;
+                    if *c == 0 {
+                        shard.remove(&packet.flow);
+                    }
+                    true
                 }
-                self.accounting_errors.fetch_add(1, Ordering::Relaxed);
+                _ => false,
             }
+        };
+        if !flow_ok {
+            if cfg!(debug_assertions) {
+                panic!("pool accounting underflow: flow occupancy (double release)");
+            }
+            self.accounting_errors.fetch_add(1, Ordering::Relaxed);
         }
         Some(packet)
     }
@@ -1177,18 +1149,7 @@ impl PoolHandle {
 
     /// Would a packet for this port be admitted right now?
     pub fn would_admit(&self) -> bool {
-        let live = self.pool.live.load(Ordering::Acquire);
-        let free = match self.pool.capacity {
-            Some(cap) => {
-                if live >= cap {
-                    return false;
-                }
-                cap - live
-            }
-            None => usize::MAX,
-        };
-        let used = self.counters.occupancy.load(Ordering::Acquire);
-        self.pool.policy.admits(used, free)
+        self.pool.admits(self.pool.live(), self.occupancy(), None)
     }
 
     /// Would a packet of `flow` for this port be admitted right now? The
@@ -1197,23 +1158,8 @@ impl PoolHandle {
     /// probe the lossless fabric gates ingress on before committing a
     /// packet to the tree.
     pub fn would_admit_flow(&self, flow: FlowId) -> bool {
-        let live = self.pool.live.load(Ordering::Acquire);
-        let free = match self.pool.capacity {
-            Some(cap) => {
-                if live >= cap {
-                    return false;
-                }
-                cap - live
-            }
-            None => usize::MAX,
-        };
-        let used = self.counters.occupancy.load(Ordering::Acquire);
-        let flow_used = if self.pool.policy.uses_flow_state() {
-            self.pool.flow_occupancy(flow)
-        } else {
-            0
-        };
-        self.pool.policy.admits_port_flow(used, flow_used, free)
+        self.pool
+            .admits(self.pool.live(), self.occupancy(), Some(flow))
     }
 
     /// Borrow the packet in `handle`'s slot (generation-checked; see
@@ -1246,138 +1192,6 @@ impl PoolHandle {
     /// Packets ever rejected for this port.
     pub fn rejected(&self) -> u64 {
         self.counters.rejected.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SharedBuffer — the counters-only §6.1 tracker (promoted from pifo-sim)
-// ---------------------------------------------------------------------------
-
-/// Occupancy-tracking admission control over a shared buffer, counting
-/// **per flow** — the §6.1 mechanism in isolation, without a slab.
-///
-/// This is the counters-only tracker `pifo-sim`'s `ManagedScheduler`
-/// wraps around any port scheduler (the sim module re-exports it from
-/// here). The slab-owning [`SharedPacketPool`] applies the same
-/// [`Threshold`] arithmetic per port.
-///
-/// Like the pool, its accounting is **checked**: a dequeue that would
-/// drive a counter below zero (a double dequeue, or a dequeue of a
-/// packet that was never admitted) panics in debug builds and bumps
-/// [`accounting_errors`](Self::accounting_errors) in release builds —
-/// the old behaviour of silently saturating at zero masked exactly the
-/// bugs that corrupt dynamic-threshold decisions.
-#[derive(Debug)]
-pub struct SharedBuffer {
-    capacity: usize,
-    occupancy: usize,
-    per_flow: HashMap<FlowId, usize>,
-    /// The flow threshold, stored as the one shared policy type: a
-    /// counters-only buffer is a `PortFlow` with an unlimited port side,
-    /// so the verdict arithmetic lives in a single place
-    /// ([`AdmissionPolicy::admits_port_flow`]) rather than being
-    /// duplicated here.
-    policy: AdmissionPolicy,
-    drops: u64,
-    accounting_errors: u64,
-}
-
-impl SharedBuffer {
-    /// A buffer of `capacity` packets with the given per-flow threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is zero or a dynamic denominator is zero.
-    pub fn new(capacity: usize, threshold: Threshold) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        if let Threshold::Dynamic { den, .. } = threshold {
-            assert!(den > 0, "alpha denominator must be positive");
-        }
-        SharedBuffer {
-            capacity,
-            occupancy: 0,
-            per_flow: HashMap::new(),
-            policy: AdmissionPolicy::PortFlow {
-                port: Threshold::Unlimited,
-                flow: threshold,
-            },
-            drops: 0,
-            accounting_errors: 0,
-        }
-    }
-
-    /// The buffer's admission policy (always a
-    /// [`AdmissionPolicy::PortFlow`] with an unlimited port side).
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// Would a packet of `flow` be admitted right now?
-    pub fn would_admit(&self, flow: FlowId) -> bool {
-        if self.occupancy >= self.capacity {
-            return false;
-        }
-        let used = self.per_flow.get(&flow).copied().unwrap_or(0);
-        self.policy
-            .admits_port_flow(0, used, self.capacity - self.occupancy)
-    }
-
-    /// Record an admission.
-    pub fn on_enqueue(&mut self, flow: FlowId) {
-        self.occupancy += 1;
-        *self.per_flow.entry(flow).or_insert(0) += 1;
-    }
-
-    fn accounting_error(&mut self, what: &str) {
-        if cfg!(debug_assertions) {
-            panic!("shared-buffer accounting underflow: {what} (double dequeue)");
-        }
-        self.accounting_errors += 1;
-    }
-
-    /// Record a departure.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if the buffer (or the flow) has no
-    /// recorded occupancy to release — a double dequeue. Release builds
-    /// bump [`accounting_errors`](Self::accounting_errors) instead of
-    /// silently clamping at zero.
-    pub fn on_dequeue(&mut self, flow: FlowId) {
-        if self.occupancy == 0 {
-            self.accounting_error("buffer occupancy below zero");
-        } else {
-            self.occupancy -= 1;
-        }
-        if !dec_flow_entry(&mut self.per_flow, flow) {
-            self.accounting_error("flow occupancy below zero");
-        }
-    }
-
-    /// Record a drop.
-    pub fn on_drop(&mut self) {
-        self.drops += 1;
-    }
-
-    /// Packets currently buffered.
-    pub fn occupancy(&self) -> usize {
-        self.occupancy
-    }
-
-    /// Packets of `flow` currently buffered.
-    pub fn flow_occupancy(&self, flow: FlowId) -> usize {
-        self.per_flow.get(&flow).copied().unwrap_or(0)
-    }
-
-    /// Admission-control drops so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// Accounting violations detected so far (release builds only; debug
-    /// builds panic at the violation site). A healthy buffer reports 0.
-    pub fn accounting_errors(&self) -> u64 {
-        self.accounting_errors
     }
 }
 
@@ -1616,77 +1430,57 @@ mod tests {
         let _ = SharedPacketPool::new(4, AdmissionPolicy::DynamicThreshold { num: 1, den: 0 });
     }
 
-    // ---- SharedBuffer (promoted from pifo-sim) ---------------------------
+    // ---- PortFlow with an unlimited port side: a per-flow buffer --------
 
-    #[test]
-    fn shared_buffer_static_threshold_caps_each_flow() {
-        let mut b = SharedBuffer::new(100, Threshold::Static(2));
-        assert!(b.would_admit(FlowId(1)));
-        b.on_enqueue(FlowId(1));
-        b.on_enqueue(FlowId(1));
-        assert!(!b.would_admit(FlowId(1)), "third of flow 1 dropped");
-        assert!(b.would_admit(FlowId(2)), "other flows unaffected");
-        assert_eq!(b.flow_occupancy(FlowId(1)), 2);
+    /// A one-port pool that admits on global capacity and `flow` only.
+    fn flow_threshold_port(capacity: usize, flow: Threshold) -> PoolHandle {
+        SharedPacketPool::new(
+            capacity,
+            AdmissionPolicy::PortFlow {
+                port: Threshold::Unlimited,
+                flow,
+            },
+        )
+        .into_shared()
+        .register_port()
     }
 
     #[test]
-    fn shared_buffer_dynamic_threshold_tightens_under_pressure() {
+    fn flow_dynamic_threshold_tightens_under_pressure() {
         // alpha = 1: a flow may hold at most the current free space.
-        let mut b = SharedBuffer::new(8, Threshold::Dynamic { num: 1, den: 1 });
-        let mut admitted = 0;
-        while b.would_admit(FlowId(1)) {
-            b.on_enqueue(FlowId(1));
-            admitted += 1;
-            assert!(admitted <= 8, "must converge");
+        let h = flow_threshold_port(8, Threshold::Dynamic { num: 1, den: 1 });
+        let mut id = 0;
+        while h.would_admit_flow(FlowId(1)) {
+            h.try_insert(pkt(id, 1)).expect("the probe admitted it");
+            id += 1;
+            assert!(id <= 8, "must converge");
         }
-        assert_eq!(admitted, 4, "alpha=1 -> at most half the buffer");
+        assert_eq!(id, 4, "alpha=1 -> at most half the buffer");
+        assert!(
+            h.try_insert(pkt(id, 1)).is_err(),
+            "insert agrees with probe"
+        );
         // A *different* flow still gets in: lockout prevented.
-        assert!(b.would_admit(FlowId(2)));
+        assert!(h.would_admit_flow(FlowId(2)));
+        h.try_insert(pkt(id + 1, 2)).expect("second flow admitted");
+        assert_eq!(h.pool().flow_occupancy(FlowId(1)), 4);
+        h.pool().assert_coherent();
     }
 
     #[test]
-    fn shared_buffer_capacity_is_hard_limit() {
-        let mut b = SharedBuffer::new(4, Threshold::Static(100));
-        for f in 0..4u32 {
-            assert!(b.would_admit(FlowId(f)));
-            b.on_enqueue(FlowId(f));
-        }
-        assert!(!b.would_admit(FlowId(9)), "buffer full");
-        b.on_dequeue(FlowId(0));
-        assert!(b.would_admit(FlowId(9)));
-        assert_eq!(b.occupancy(), 3);
-    }
-
-    #[test]
-    fn shared_buffer_counts_drops() {
-        let mut b = SharedBuffer::new(4, Threshold::Static(1));
-        b.on_drop();
-        b.on_drop();
-        assert_eq!(b.drops(), 2);
-    }
-
-    /// The satellite regression: a double dequeue used to be silently
-    /// clamped by `saturating_sub`, leaving the §6.1 counters wrong but
-    /// plausible. It must now be *detected* — a panic in debug builds, a
-    /// visible `accounting_errors` bump in release builds.
-    #[test]
-    fn shared_buffer_double_dequeue_is_detected_not_clamped() {
-        let mut b = SharedBuffer::new(8, Threshold::Static(4));
-        b.on_enqueue(FlowId(1));
-        b.on_dequeue(FlowId(1));
-        if cfg!(debug_assertions) {
-            let err =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.on_dequeue(FlowId(1))));
-            assert!(err.is_err(), "debug builds panic on the double dequeue");
-        } else {
-            b.on_dequeue(FlowId(1));
-            assert_eq!(
-                b.accounting_errors(),
-                2,
-                "release builds record both underflows (buffer + flow)"
-            );
-            assert_eq!(b.occupancy(), 0, "counter did not wrap");
-        }
+    fn port_flow_capacity_is_hard_limit() {
+        let h = flow_threshold_port(4, Threshold::Static(100));
+        let held: Vec<PktHandle> = (0..4u32)
+            .map(|f| h.try_insert(pkt(f.into(), f)).expect("under capacity"))
+            .collect();
+        assert!(!h.would_admit_flow(FlowId(9)), "pool full");
+        assert!(h.try_insert(pkt(9, 9)).is_err(), "capacity rejects");
+        assert_eq!(h.rejected(), 1);
+        h.release(held[0]).expect("sole reference");
+        assert!(h.would_admit_flow(FlowId(9)), "a release reopens it");
+        h.try_insert(pkt(10, 9)).expect("admitted again");
+        assert_eq!(h.pool_live(), 4);
+        h.pool().assert_coherent();
     }
 
     #[test]
@@ -1725,60 +1519,6 @@ mod tests {
         assert!(!pool.would_admit_flow(port, FlowId(7)));
         assert!(!pool.would_admit(port));
         assert!(pool.try_insert(port, pkt(2, 7)).is_err());
-    }
-
-    #[test]
-    fn shared_buffer_verdicts_match_port_flow_pool() {
-        // The counters-only tracker and a one-port PortFlow pool with an
-        // unlimited port side must produce identical verdicts for any
-        // admit/dequeue history — the threshold arithmetic is one copy.
-        let threshold = Threshold::Dynamic { num: 1, den: 2 };
-        let mut buf = SharedBuffer::new(8, threshold);
-        let pool = SharedPacketPool::new(
-            8,
-            AdmissionPolicy::PortFlow {
-                port: Threshold::Unlimited,
-                flow: threshold,
-            },
-        );
-        let port = pool.register_port();
-        let mut held: Vec<(FlowId, PktHandle)> = Vec::new();
-        let seq: &[(u32, bool)] = &[
-            // (flow, enqueue? — else dequeue oldest of that flow)
-            (1, true),
-            (1, true),
-            (2, true),
-            (1, false),
-            (2, true),
-            (1, true),
-            (2, false),
-        ];
-        for (i, &(flow, enq)) in seq.iter().enumerate() {
-            let flow = FlowId(flow);
-            if enq {
-                let b_says = buf.would_admit(flow);
-                let p_says = pool.would_admit_flow(port, flow);
-                assert_eq!(b_says, p_says, "step {i}: verdicts diverge");
-                if b_says {
-                    buf.on_enqueue(flow);
-                    let h = pool
-                        .try_insert(port, pkt(i as u64, flow.0))
-                        .expect("agreed");
-                    held.push((flow, h));
-                }
-            } else {
-                let pos = held.iter().position(|(f, _)| *f == flow).expect("held");
-                let (_, h) = held.remove(pos);
-                buf.on_dequeue(flow);
-                pool.release(h);
-            }
-            assert_eq!(buf.occupancy(), pool.live(), "step {i}: occupancy");
-            assert_eq!(
-                buf.flow_occupancy(flow),
-                pool.flow_occupancy(flow),
-                "step {i}: flow occupancy"
-            );
-        }
     }
 
     #[test]

@@ -73,16 +73,19 @@ impl Nanos {
     }
 }
 
+/// Saturates at [`Nanos::MAX`]: "never" plus any delay is still never
+/// (a deadline such as `since + max_pause` must not wrap around).
 impl Add for Nanos {
     type Output = Nanos;
     fn add(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0 + rhs.0)
+        Nanos(self.0.saturating_add(rhs.0))
     }
 }
 
+/// Saturates at [`Nanos::MAX`], like `+`.
 impl AddAssign for Nanos {
     fn add_assign(&mut self, rhs: Nanos) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -155,6 +158,15 @@ mod tests {
         assert_eq!(a.saturating_sub(b), Nanos::ZERO);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
+    }
+
+    #[test]
+    fn addition_saturates_at_never() {
+        assert_eq!(Nanos::MAX + Nanos(1), Nanos::MAX);
+        assert_eq!(Nanos(1) + Nanos::MAX, Nanos::MAX);
+        let mut t = Nanos(u64::MAX - 1);
+        t += Nanos(5);
+        assert_eq!(t, Nanos::MAX);
     }
 
     #[test]

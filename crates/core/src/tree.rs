@@ -50,7 +50,7 @@
 
 use crate::metrics::{InversionStats, InversionTracker};
 use crate::packet::{FlowId, Packet};
-use crate::pifo::{EnumPifo, PifoBackend, PifoInspect, PifoQueue};
+use crate::pifo::{EnumPifo, PifoBackend, PifoQueue};
 use crate::pool::{PktHandle, PoolHandle, SharedPacketPool};
 use crate::rank::Rank;
 use crate::telemetry::{
@@ -484,7 +484,7 @@ impl TreeBuilder {
                     shaper: n.shaper,
                     flow_fn: n.flow_fn,
                     backend,
-                    sched_pifo: backend.make_enum(),
+                    sched_pifo: backend.make(),
                     shaping_len: 0,
                 }
             })

@@ -103,7 +103,7 @@ proptest! {
         cap in 1usize..24,
         ops in proptest::collection::vec(op_strategy(), 0..200),
     ) {
-        let mut q: BoxedPifo<u32> = backend.make_bounded(cap);
+        let mut q: EnumPifo<u32> = backend.make_bounded(cap);
         prop_assert_eq!(q.capacity(), Some(cap));
         let mut expected_len = 0usize;
         for op in &ops {
@@ -149,7 +149,7 @@ proptest! {
             PifoBackend::Aifo,
             PifoBackend::SpPifo { queues: 1 },
         ] {
-            let mut q: BoxedPifo<usize> = backend.make();
+            let mut q: EnumPifo<usize> = backend.make();
             for (i, &r) in ranks.iter().enumerate() {
                 q.push(Rank(r), i);
             }
@@ -263,7 +263,7 @@ proptest! {
         queues in 1u8..=12,
         ranks in proptest::collection::vec(any::<u64>(), 0..200),
     ) {
-        let mut q: BoxedPifo<usize> = PifoBackend::SpPifo { queues }.make();
+        let mut q: EnumPifo<usize> = PifoBackend::SpPifo { queues }.make();
         for (i, &r) in ranks.iter().enumerate() {
             q.push(Rank(r), i);
         }

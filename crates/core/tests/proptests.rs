@@ -44,7 +44,7 @@ fn narrow_op_strategy() -> impl Strategy<Value = Op> {
 /// identical observable behaviour at each step: admission, pops, peeks,
 /// lengths, the `PifoFull` round-trip, and the ordered inspection view.
 fn assert_backends_agree(cap: Option<usize>, ops: Vec<Op>) {
-    let mut queues: Vec<(PifoBackend, BoxedPifo<u32>)> = PifoBackend::EXACT
+    let mut queues: Vec<(PifoBackend, EnumPifo<u32>)> = PifoBackend::EXACT
         .iter()
         .map(|&be| {
             let q = match cap {
@@ -136,7 +136,7 @@ proptest! {
     #[test]
     fn drain_is_sorted_and_stable(entries in proptest::collection::vec((0u64..50, any::<u32>()), 0..300)) {
         for backend in PifoBackend::EXACT {
-            let mut q: BoxedPifo<(usize, u32)> = backend.make();
+            let mut q: EnumPifo<(usize, u32)> = backend.make();
             for (i, (r, v)) in entries.iter().enumerate() {
                 q.push(Rank(*r), (i, *v));
             }

@@ -52,7 +52,7 @@ proptest! {
                 ..BlockConfig::default()
             };
             let mut block = PifoBlock::new(cfg).strict_monotonic(true);
-            let mut reference: BoxedPifo<(u32, u64)> = backend.make();
+            let mut reference: EnumPifo<(u32, u64)> = backend.make();
             let l = LogicalPifoId(0);
             let mut next_rank = [0u64; 6];
             let mut meta = 0u64;
@@ -137,7 +137,7 @@ proptest! {
             ..BlockConfig::default()
         };
         let mut block = PifoBlock::new(cfg).strict_monotonic(true);
-        let mut refs: Vec<BoxedPifo<u64>> =
+        let mut refs: Vec<EnumPifo<u64>> =
             vec![PifoBackend::Heap.make(), PifoBackend::Bucket.make()];
         // Per-(lpifo, flow) monotone, globally unique ranks.
         let mut next_rank = [[0u64; 4]; 2];

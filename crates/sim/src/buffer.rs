@@ -6,11 +6,12 @@
 //! any of these counters exceeds a static or dynamic threshold, the
 //! packet is dropped."
 //!
-//! The threshold arithmetic and the counters-only tracker now live in
-//! `pifo-core`'s [`pool`](pifo_core::pool) subsystem — alongside the
-//! slab-owning [`pifo_core::pool::SharedPacketPool`] that applies the
-//! same §6.1 logic **per port** across a whole switch fabric — and are
-//! re-exported here unchanged:
+//! The threshold option lives in `pifo-core`'s
+//! [`pool`](pifo_core::pool): a tree built with
+//! [`TreeBuilder::build_in_pool`] admits each packet against its pool's
+//! counters before it ranks it. A pool with
+//! `AdmissionPolicy::PortFlow { port: Threshold::Unlimited, flow: t }`
+//! puts per-flow thresholds in front of one port's scheduler:
 //!
 //! * [`Threshold::Static`] — a fixed per-flow cap;
 //! * [`Threshold::Dynamic`] — the Choudhury–Hahne scheme the paper cites
@@ -18,76 +19,13 @@
 //!   buffer, which automatically tightens under pressure and prevents a
 //!   single flow from locking everyone else out.
 //!
-//! This module keeps the simulator-side compositions: a
-//! [`ManagedScheduler`] wraps any [`PortScheduler`] behind a
-//! [`SharedBuffer`], and [`Red`] implements the other §6.1 option —
-//! Random Early Detection \[18\]: probabilistic drops driven by an EWMA
-//! of the queue length, seeded for deterministic simulation.
+//! This module holds the other §6.1 option: [`Red`], Random Early
+//! Detection \[18\] — probabilistic drops driven by an EWMA of the queue
+//! length, seeded for deterministic simulation — and [`RedScheduler`],
+//! which puts it in front of any [`PortScheduler`].
 
 use crate::scheduler::PortScheduler;
 use pifo_core::prelude::*;
-
-pub use pifo_core::pool::{SharedBuffer, Threshold};
-
-/// A [`PortScheduler`] with buffer-management admission control in front
-/// of it — the §6.1 composition: thresholds gate the enqueue, the
-/// scheduler orders what was admitted.
-pub struct ManagedScheduler<S> {
-    inner: S,
-    buffer: SharedBuffer,
-}
-
-impl<S: PortScheduler> ManagedScheduler<S> {
-    /// Wrap `inner` behind `buffer`.
-    pub fn new(inner: S, buffer: SharedBuffer) -> Self {
-        ManagedScheduler { inner, buffer }
-    }
-
-    /// The buffer state (occupancies, drops).
-    pub fn buffer(&self) -> &SharedBuffer {
-        &self.buffer
-    }
-
-    /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: PortScheduler> PortScheduler for ManagedScheduler<S> {
-    fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
-        let flow = pkt.flow;
-        if !self.buffer.would_admit(flow) {
-            self.buffer.on_drop();
-            return false;
-        }
-        if self.inner.enqueue(pkt, now) {
-            self.buffer.on_enqueue(flow);
-            true
-        } else {
-            self.buffer.on_drop();
-            false
-        }
-    }
-
-    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
-        let p = self.inner.dequeue(now)?;
-        self.buffer.on_dequeue(p.flow);
-        Some(p)
-    }
-
-    fn next_ready(&self, now: Nanos) -> Option<Nanos> {
-        self.inner.next_ready(now)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.backlog()
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // RED (Random Early Detection)
@@ -216,31 +154,51 @@ impl<S: PortScheduler> PortScheduler for RedScheduler<S> {
 mod tests {
     use super::*;
     use crate::baselines::FifoSched;
+    use crate::scheduler::TreeScheduler;
 
     fn pkt(id: u64, flow: u32) -> Packet {
         Packet::new(id, FlowId(flow), 1_000, Nanos(id))
     }
 
+    /// A FIFO port behind per-flow thresholds: a one-node tree in a
+    /// `PortFlow { port: Unlimited, flow }` pool of `capacity` packets.
+    fn flow_gated_fifo(capacity: usize, flow: Threshold) -> TreeScheduler {
+        let handle = SharedPacketPool::new(
+            capacity,
+            AdmissionPolicy::PortFlow {
+                port: Threshold::Unlimited,
+                flow,
+            },
+        )
+        .into_shared()
+        .register_port();
+        let mut b = TreeBuilder::new();
+        let root = b.add_root(
+            "fifo",
+            Box::new(FnTransaction::new("fifo", |ctx: &EnqCtx| {
+                Rank(ctx.now.as_nanos())
+            })),
+        );
+        let tree = b
+            .build_in_pool(Box::new(move |_| root), handle)
+            .expect("valid");
+        TreeScheduler::new("fifo", tree)
+    }
+
     #[test]
     fn static_threshold_caps_each_flow() {
-        let mut s = ManagedScheduler::new(
-            FifoSched::new(100),
-            SharedBuffer::new(100, Threshold::Static(2)),
-        );
+        let mut s = flow_gated_fifo(100, Threshold::Static(2));
         assert!(s.enqueue(pkt(0, 1), Nanos(0)));
         assert!(s.enqueue(pkt(1, 1), Nanos(0)));
         assert!(!s.enqueue(pkt(2, 1), Nanos(0)), "third of flow 1 dropped");
         assert!(s.enqueue(pkt(3, 2), Nanos(0)), "other flows unaffected");
-        assert_eq!(s.buffer().drops(), 1);
-        assert_eq!(s.buffer().flow_occupancy(FlowId(1)), 2);
+        assert_eq!(s.drops(), 1);
+        assert_eq!(s.tree().packet_buffer().flow_occupancy(FlowId(1)), 2);
     }
 
     #[test]
     fn dequeue_frees_headroom() {
-        let mut s = ManagedScheduler::new(
-            FifoSched::new(100),
-            SharedBuffer::new(100, Threshold::Static(1)),
-        );
+        let mut s = flow_gated_fifo(100, Threshold::Static(1));
         assert!(s.enqueue(pkt(0, 1), Nanos(0)));
         assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
         s.dequeue(Nanos(1)).expect("packet");
@@ -252,17 +210,14 @@ mod tests {
         // The classic tail-drop pathology: one flow owning the whole
         // buffer. With dynamic thresholds a second flow always finds
         // room.
-        let mut s = ManagedScheduler::new(
-            FifoSched::new(1_000),
-            SharedBuffer::new(64, Threshold::Dynamic { num: 1, den: 1 }),
-        );
+        let mut s = flow_gated_fifo(64, Threshold::Dynamic { num: 1, den: 1 });
         let mut id = 0;
         for _ in 0..200 {
             let _ = s.enqueue(pkt(id, 1), Nanos(id));
             id += 1;
         }
         assert!(
-            s.buffer().flow_occupancy(FlowId(1)) <= 32,
+            s.tree().packet_buffer().flow_occupancy(FlowId(1)) <= 32,
             "hog capped at half"
         );
         assert!(s.enqueue(pkt(id, 2), Nanos(id)), "victim admitted");
@@ -347,18 +302,5 @@ mod tests {
             "tail drop pins at the limit: {}",
             plain.backlog()
         );
-    }
-
-    #[test]
-    fn inner_rejection_counts_as_drop() {
-        // Inner scheduler full even though thresholds would admit.
-        let mut s = ManagedScheduler::new(
-            FifoSched::new(1),
-            SharedBuffer::new(100, Threshold::Static(50)),
-        );
-        assert!(s.enqueue(pkt(0, 1), Nanos(0)));
-        assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
-        assert_eq!(s.buffer().drops(), 1);
-        assert_eq!(s.buffer().occupancy(), 1, "occupancy not double-counted");
     }
 }

@@ -39,7 +39,7 @@ pub mod switch;
 pub mod traffic;
 
 pub use baselines::{DrrSched, FifoSched, SfqSched, ShapedFifo, StrictPrioritySched};
-pub use buffer::{ManagedScheduler, Red, RedScheduler, SharedBuffer, Threshold};
+pub use buffer::{Red, RedScheduler};
 pub use gps::FluidGps;
 pub use lossless::{
     FabricStall, FaultPlan, LosslessConfig, LosslessFabric, LosslessRun, PauseAction, PauseEvent,

@@ -1188,6 +1188,35 @@ mod tests {
         assert!(run.port_paused[0] > Nanos::ZERO);
     }
 
+    /// A watchdog bound of `Nanos::MAX` means "never": the deadline
+    /// `since + max_pause` saturates instead of wrapping, so the run
+    /// pauses, drains and reports no stall.
+    #[test]
+    fn unbounded_max_pause_never_trips_the_watchdog() {
+        let cfg = LosslessConfig::new(16, 4)
+            .with_headroom(64)
+            .with_max_pause(Nanos::MAX);
+        let switch = lossless_switch(1, 128, 16, 64);
+        let mut fabric = LosslessFabric::new(switch, cfg);
+        let src = CbrSource::new(
+            FlowId(0),
+            1_000,
+            16_000_000_000,
+            Nanos::ZERO,
+            Nanos(400_000),
+        );
+        let run = fabric.run(vec![Box::new(src)], DrainMode::PerPacket);
+
+        assert!(run.stall.is_none(), "no stall: {:?}", run.stall);
+        assert_eq!(run.total_drops(), 0, "lossless");
+        assert!(run.count_events(PauseAction::Pause) > 0, "still pauses");
+        assert_eq!(
+            run.count_events(PauseAction::Pause),
+            run.count_events(PauseAction::Resume),
+            "every pause resolved"
+        );
+    }
+
     /// Pause events and traces are identical across drain modes.
     #[test]
     fn drain_modes_agree_on_traces_and_pause_log() {

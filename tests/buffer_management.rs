@@ -11,10 +11,7 @@
 
 use pifo_algos::{Stfq, WeightTable};
 use pifo_core::prelude::*;
-use pifo_sim::{
-    run_port, throughput, CbrSource, ManagedScheduler, PortConfig, SharedBuffer, Threshold,
-    TrafficSource, TreeScheduler,
-};
+use pifo_sim::{run_port, throughput, CbrSource, PortConfig, TrafficSource, TreeScheduler};
 
 const LINK: u64 = 10_000_000_000;
 
@@ -30,7 +27,17 @@ fn arrivals(end: Nanos) -> Vec<Packet> {
     pkts
 }
 
-fn stfq_tree() -> ScheduleTree {
+/// The WFQ tree in a 256-packet pool that admits on per-flow thresholds
+/// before the tree ranks: admission control in front of the scheduler.
+fn flow_gated_stfq_tree(flow: Threshold) -> ScheduleTree {
+    let pool = SharedPacketPool::new(
+        256,
+        AdmissionPolicy::PortFlow {
+            port: Threshold::Unlimited,
+            flow,
+        },
+    )
+    .into_shared();
     let mut b = TreeBuilder::new();
     let root = b.add_root(
         "wfq",
@@ -40,8 +47,8 @@ fn stfq_tree() -> ScheduleTree {
             (FlowId(3), 4),
         ]))),
     );
-    // The *scheduler* is unbounded; admission control happens in front.
-    b.build(Box::new(move |_| root)).expect("valid")
+    b.build_in_pool(Box::new(move |_| root), pool.register_port())
+        .expect("valid")
 }
 
 fn run(threshold: Option<Threshold>) -> [f64; 3] {
@@ -66,10 +73,7 @@ fn run(threshold: Option<Threshold>) -> [f64; 3] {
             run_port(&pkts, &mut sched, &cfg)
         }
         Some(t) => {
-            let mut sched = ManagedScheduler::new(
-                TreeScheduler::new("managed", stfq_tree()),
-                SharedBuffer::new(256, t),
-            );
+            let mut sched = TreeScheduler::new("managed", flow_gated_stfq_tree(t));
             run_port(&pkts, &mut sched, &cfg)
         }
     };

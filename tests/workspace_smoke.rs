@@ -118,7 +118,7 @@ fn umbrella_reexports_cover_every_subcrate() {
     );
 
     // pifo::core — the statically dispatched engine sum re-exports too.
-    let mut q: EnumPifo<u32> = PifoBackend::Bucket.make_enum();
+    let mut q: EnumPifo<u32> = PifoBackend::Bucket.make();
     q.push(Rank(3), 30);
     q.push(Rank(1), 10);
     assert_eq!(q.backend(), PifoBackend::Bucket);

@@ -288,7 +288,7 @@ impl ShapedFifo {
     }
 
     fn head_cost(&self) -> Option<i128> {
-        self.q.front().map(|p| p.length as i128 * 8 * 1_000_000_000)
+        self.q.front().map(cost)
     }
 
     /// Packets dropped so far.
@@ -297,9 +297,16 @@ impl ShapedFifo {
     }
 }
 
+/// Token cost of sending `p`, in bit-nanoseconds.
+fn cost(p: &Packet) -> i128 {
+    p.length as i128 * 8 * 1_000_000_000
+}
+
 impl PortScheduler for ShapedFifo {
+    /// Tail-drops when full, and — like Linux `tbf` — drops a packet
+    /// larger than the burst, which the bucket could never pay for.
     fn enqueue(&mut self, pkt: Packet, _now: Nanos) -> bool {
-        if self.q.len() >= self.limit {
+        if self.q.len() >= self.limit || cost(&pkt) > self.burst_nanobits {
             self.drops += 1;
             return false;
         }
@@ -325,7 +332,10 @@ impl PortScheduler for ShapedFifo {
             return Some(now);
         }
         let wait = (deficit + self.rate_bps as i128 - 1) / self.rate_bps as i128;
-        Some(Nanos(now.as_nanos() + wait as u64))
+        Some(Nanos(
+            now.as_nanos()
+                .saturating_add(u64::try_from(wait).unwrap_or(u64::MAX)),
+        ))
     }
 
     fn backlog(&self) -> usize {
@@ -445,6 +455,32 @@ mod tests {
     fn shaped_fifo_next_ready_none_when_empty() {
         let s = ShapedFifo::new(1_000_000, 1_000, 10);
         assert_eq!(s.next_ready(Nanos(0)), None);
+    }
+
+    /// A packet larger than the burst can never earn its tokens: it is
+    /// dropped at enqueue, as Linux `tbf` does, instead of wedging the
+    /// port — the packet behind it departs well inside a 1 ms horizon.
+    #[test]
+    fn shaped_fifo_drops_oversize_packet_instead_of_wedging() {
+        use crate::port::{run_port, PortConfig};
+        let mut s = ShapedFifo::new(1_000_000_000, 1_500, 10);
+        let arr = vec![pkt(0, 0, 9_000), pkt(1, 0, 1_000)];
+        let cfg = PortConfig::new(10_000_000_000).with_horizon(Nanos::from_millis(1));
+        let out = run_port(&arr, &mut s, &cfg);
+        assert_eq!(out.len(), 1, "the 1000 B packet departs");
+        assert_eq!(out[0].packet.id.0, 1);
+        assert_eq!(s.drops(), 1, "the 9000 B packet is the drop");
+        assert_eq!(s.backlog(), 0);
+    }
+
+    #[test]
+    fn shaped_fifo_next_ready_saturates() {
+        // 1 b/s: the second packet's tokens are ~8e12 ns away.
+        let mut s = ShapedFifo::new(1, 1_000, 10);
+        s.enqueue(pkt(0, 0, 1_000), Nanos(0));
+        s.enqueue(pkt(1, 0, 1_000), Nanos(0));
+        assert!(s.dequeue(Nanos(0)).is_some());
+        assert_eq!(s.next_ready(Nanos(u64::MAX - 1)), Some(Nanos::MAX));
     }
 }
 

@@ -3,8 +3,9 @@
 //! A deterministic discrete-event network-simulation substrate for the
 //! PIFO reproduction: traffic generators (CBR, Poisson, deterministic
 //! and Markov on/off bursts, incast, heavy-tailed flow workloads),
-//! output ports, the multi-port [`switch`] fabric with its line-rate
-//! drain loop, multi-hop paths, metric collectors, the
+//! output ports, the multi-port [`switch`] fabric and the [`lossless`]
+//! fabric — all three transmitting through the one round engine in
+//! [`port`] — multi-hop paths, metric collectors, the
 //! fixed-function baseline schedulers the paper contrasts against (§1),
 //! a fluid GPS reference for fairness ground truth, and the pFabric
 //! reference queue used by the §3.5 inexpressibility demonstration.

@@ -37,9 +37,10 @@
 //!
 //! The driver executes one global event loop in `(time, kind, index)`
 //! order — control-frame deliveries before emissions before scheduling
-//! rounds at equal instants — and rounds reuse the exact
-//! [`Switch`]-fabric round semantics (admit-by-arrival-instant, `burst`
-//! dequeues decided at the round time, back-to-back transmit). All
+//! rounds at equal instants — and each round calls the same round
+//! engine as [`Switch`] (`burst` dequeues decided at the round time,
+//! back-to-back transmit at the port's rate, path records), after the
+//! driver's own skid admission at each packet's arrival instant. All
 //! decisions read tree/pool state that is identical across the exact
 //! engines, so departure traces *and* the pause/resume event log are
 //! bit-identical across backends and [`DrainMode`]s.
@@ -58,8 +59,8 @@
 //! blowout, or a quiescent fabric with packets still trapped
 //! (circular wait) stops the run with a diagnosis instead of looping.
 
-use crate::port::Departure;
-use crate::switch::{DrainMode, PortTrace, Switch, SwitchRun};
+use crate::port::PortEngine;
+use crate::switch::{DrainMode, Switch, SwitchRun};
 use crate::traffic::TrafficSource;
 use pifo_core::prelude::*;
 use pifo_core::telemetry::NO_NODE;
@@ -444,7 +445,8 @@ struct PortState {
     busy_until: Nanos,
     /// Horizon reached: no further rounds start.
     done: bool,
-    trace: PortTrace,
+    /// The round engine: the port's trace, at its fault-slowed rate.
+    engine: PortEngine,
     /// The PFC skid buffer: packets held at ingress, FIFO.
     skid: VecDeque<Packet>,
     /// Per-class pressure/pause state (BTreeMap for deterministic
@@ -452,8 +454,6 @@ struct PortState {
     classes: BTreeMap<u8, ClassState>,
     peak_skid: usize,
     paused_total: Nanos,
-    /// Scratch for round dequeues.
-    round: Vec<Packet>,
 }
 
 /// Per-source driver state.
@@ -533,31 +533,36 @@ impl LosslessFabric {
         let n = self.switch.ports.len();
         let (xoff, xon) = (self.cfg.watermarks.xoff, self.cfg.watermarks.xon);
 
-        // Effective per-port drain rates under the slow-drain fault.
-        let rate: Vec<u64> = (0..n)
+        let dead = |i: usize| faults.dead_ports.contains(&i);
+        let stuck = |now: Nanos| faults.stuck_pool_at.is_some_and(|t| now >= t);
+        // The classified target of a source's next packet: `Some((port,
+        // class))`, or `None` for a misroute.
+        let classifier = &self.switch.classifier;
+        let classify = |p: &Packet| {
+            let port = classifier(p);
+            (port < n).then_some((port, p.class))
+        };
+
+        let mut ports: Vec<PortState> = (0..n)
             .map(|i| {
+                // The port drains at its slow-drain fault's rate, if any.
                 let k = faults
                     .slow_drain
                     .iter()
                     .rev()
                     .find(|&&(p, _)| p == i)
                     .map_or(1, |&(_, k)| k.max(1));
-                (self.switch.rate_bps / k as u64).max(1)
-            })
-            .collect();
-        let dead = |i: usize| faults.dead_ports.contains(&i);
-
-        let mut ports: Vec<PortState> = (0..n)
-            .map(|_| PortState {
-                t: None,
-                busy_until: Nanos::ZERO,
-                done: false,
-                trace: PortTrace::default(),
-                skid: VecDeque::new(),
-                classes: BTreeMap::new(),
-                peak_skid: 0,
-                paused_total: Nanos::ZERO,
-                round: Vec::with_capacity(self.switch.burst),
+                let rate = (self.switch.rate_bps / k as u64).max(1);
+                PortState {
+                    t: None,
+                    busy_until: Nanos::ZERO,
+                    done: false,
+                    engine: PortEngine::new(rate, self.switch.burst),
+                    skid: VecDeque::new(),
+                    classes: BTreeMap::new(),
+                    peak_skid: 0,
+                    paused_total: Nanos::ZERO,
+                }
             })
             .collect();
 
@@ -565,14 +570,10 @@ impl LosslessFabric {
             .into_iter()
             .map(|mut src| {
                 let next = src.next_packet();
-                let target = next.as_ref().and_then(|p| {
-                    let port = (self.switch.classifier)(p);
-                    (port < n).then_some((port, p.class))
-                });
                 SourceState {
                     src,
+                    target: next.as_ref().and_then(classify),
                     next,
-                    target,
                     blocked: false,
                     blocked_since: Nanos::ZERO,
                     gate: Nanos::ZERO,
@@ -594,10 +595,7 @@ impl LosslessFabric {
         // Fabric-level gauge sampling rides the global round counter —
         // identical round order in both modes keeps the series
         // bit-reproducible.
-        let sample_every = self
-            .switch
-            .telemetry_config()
-            .map(|c| c.sample_every.max(1));
+        let sample_every = self.switch.sample_every();
         let mut g_pool = GaugeSeries::new("fabric.pool_live");
         let mut g_paused = GaugeSeries::new("fabric.paused_classes");
         let mut g_skid = GaugeSeries::new("fabric.skid_occupancy");
@@ -609,8 +607,7 @@ impl LosslessFabric {
             ($i:expr, $now:expr) => {{
                 let i: usize = $i;
                 let now: Nanos = $now;
-                let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
-                let pool_ok = !stuck && self.switch.ports[i].pool_handle().would_admit();
+                let pool_ok = !stuck(now) && self.switch.ports[i].pool_handle().would_admit();
                 let ps = &mut ports[i];
                 for (&class, cs) in ps.classes.iter_mut() {
                     let pressure = cs.occ + cs.skid;
@@ -818,13 +815,12 @@ impl LosslessFabric {
                     match target {
                         None => misrouted += 1,
                         Some((i, class)) => {
-                            let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
                             let ps = &mut ports[i];
                             ps.classes.entry(class).or_default();
                             // Direct admission keeps arrival order: only
                             // when nothing is already held back may this
                             // packet bypass the skid queue.
-                            let gate_open = !stuck
+                            let gate_open = !stuck(now)
                                 && ps.skid.is_empty()
                                 && self.switch.ports[i].pool_handle().would_admit_flow(p.flow);
                             if gate_open {
@@ -838,7 +834,7 @@ impl LosslessFabric {
                                         // nothing ran in between; a
                                         // reject here is a tree-level
                                         // refusal (unknown flow etc.).
-                                        ps.trace.drops += 1;
+                                        ps.engine.trace.drops += 1;
                                     }
                                 }
                             } else if ps.skid.len() < self.cfg.headroom {
@@ -848,7 +844,7 @@ impl LosslessFabric {
                                 ps.peak_skid = ps.peak_skid.max(ps.skid.len());
                             } else {
                                 // Headroom overflow: the one loss mode.
-                                ps.trace.drops += 1;
+                                ps.engine.trace.drops += 1;
                                 skid_overflow += 1;
                             }
                             // Wake the port (no earlier than its
@@ -869,10 +865,7 @@ impl LosslessFabric {
                     // Pull the next packet and classify it.
                     let s = &mut srcs[si];
                     s.next = s.src.next_packet();
-                    s.target = s.next.as_ref().and_then(|p| {
-                        let port = (self.switch.classifier)(p);
-                        (port < n).then_some((port, p.class))
-                    });
+                    s.target = s.next.as_ref().and_then(classify);
                     if let Some(t) = s.target {
                         if visible.contains(&t) && !s.blocked {
                             s.blocked = true;
@@ -901,14 +894,12 @@ impl LosslessFabric {
                         ports[i].t = None;
                         continue;
                     }
-                    let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
-
                     // Admit gated skid packets, oldest first, each at
                     // its own arrival instant — stop at the first the
                     // pool still refuses (head-of-line, not reorder).
                     while let Some(front) = ports[i].skid.front() {
                         if front.arrival > now
-                            || stuck
+                            || stuck(now)
                             || !self.switch.ports[i]
                                 .pool_handle()
                                 .would_admit_flow(front.flow)
@@ -921,85 +912,60 @@ impl LosslessFabric {
                         cs.skid -= 1;
                         match self.switch.ports[i].enqueue(p, at) {
                             Ok(()) => ports[i].classes.get_mut(&class).expect("entry").occ += 1,
-                            Err(_) => ports[i].trace.drops += 1,
+                            Err(_) => ports[i].engine.trace.drops += 1,
                         }
                     }
                     max_pool_live = max_pool_live.max(fabric_live(&self.switch));
 
-                    // One burst of dequeues decided at `now` (a dead
-                    // port decides nothing).
-                    ports[i].round.clear();
-                    if !dead(i) {
-                        for _ in 0..self.switch.burst {
-                            match self.switch.ports[i].dequeue(now) {
-                                Some(p) => ports[i].round.push(p),
-                                None => break,
-                            }
-                        }
-                    }
-
-                    let round_end = if ports[i].round.is_empty() {
-                        // Idle: hop to the next local cause — a future
-                        // skid arrival or a shaping release — or park
-                        // until an emission or another port's progress
-                        // wakes us.
-                        let next_skid = ports[i].skid.front().map(|p| p.arrival);
-                        let next_ready = self.switch.ports[i].next_shaping_event();
-                        let next = match (next_skid, next_ready) {
-                            (Some(a), Some(r)) => Some(a.min(r)),
-                            (a, r) => a.or(r),
-                        };
-                        ports[i].busy_until = now;
-                        ports[i].t = match next {
-                            Some(t) if t > now => Some(t),
-                            // A gated head (arrival <= now) cannot be
-                            // hopped to; park and wait for pool space.
-                            _ => None,
-                        };
-                        now
+                    // One round decided at `now` at the port's (possibly
+                    // fault-slowed) rate; a dead port decides nothing.
+                    let ps = &mut ports[i];
+                    let first = ps.engine.trace.departures.len();
+                    let served = if dead(i) {
+                        None
                     } else {
-                        // Transmit back-to-back at the port's (possibly
-                        // fault-slowed) line rate.
-                        let mut t = now;
-                        let round = std::mem::take(&mut ports[i].round);
-                        for p in round {
-                            let finish = t + tx_time(p.length as u64, rate[i]);
-                            let cs = ports[i]
-                                .classes
-                                .get_mut(&p.class)
-                                .expect("departed packet was admitted");
-                            cs.occ = cs.occ.saturating_sub(1);
-                            ports[i].trace.departures.push(Departure {
-                                wait: t.saturating_sub(p.arrival),
-                                start: t,
-                                finish,
-                                packet: p,
-                            });
-                            t = finish;
+                        ps.engine.serve(&mut self.switch.ports[i], now)
+                    };
+                    let round_end = match served {
+                        None => {
+                            // Idle: hop to the next local cause — a future
+                            // skid arrival or a shaping release — or park
+                            // until an emission or another port's progress
+                            // wakes us. A gated head (arrival <= now)
+                            // cannot be hopped to: it waits for pool space.
+                            let next_skid = ps.skid.front().map(|p| p.arrival);
+                            let next_ready = self.switch.ports[i].next_shaping_event();
+                            ps.busy_until = now;
+                            ps.t = next_skid
+                                .into_iter()
+                                .chain(next_ready)
+                                .min()
+                                .filter(|&t| t > now);
+                            now
                         }
-                        ports[i].busy_until = t;
-                        ports[i].t = Some(t);
-                        if self.switch.ports[i].path_records_enabled() {
-                            // One record completed per dequeued packet,
-                            // in dequeue order — the departures just
-                            // pushed. Finalize `departed` to transmit
-                            // start so waits reconcile exactly.
-                            let mut recs = self.switch.ports[i].drain_path_records();
-                            let base = ports[i].trace.departures.len() - recs.len();
-                            for (k, r) in recs.iter_mut().enumerate() {
-                                r.departed = ports[i].trace.departures[base + k].start;
+                        Some(end) => {
+                            for d in &ps.engine.trace.departures[first..] {
+                                let cs = ps
+                                    .classes
+                                    .get_mut(&d.packet.class)
+                                    .expect("departed packet was admitted");
+                                cs.occ = cs.occ.saturating_sub(1);
                             }
-                            ports[i].trace.paths.append(&mut recs);
-                        }
-                        // Progress frees pool space: wake parked ports
-                        // whose skid heads may now be admissible.
-                        for (j, other) in ports.iter_mut().enumerate() {
-                            if j != i && !other.done && other.t.is_none() && !other.skid.is_empty()
-                            {
-                                other.t = Some(t.max(other.busy_until));
+                            ps.busy_until = end;
+                            ps.t = Some(end);
+                            // Progress frees pool space: wake parked ports
+                            // whose skid heads may now be admissible.
+                            for (j, other) in ports.iter_mut().enumerate() {
+                                if j != i
+                                    && !other.done
+                                    && other.t.is_none()
+                                    && !other.skid.is_empty()
+                                {
+                                    other.t = Some(end.max(other.busy_until));
+                                }
                             }
+                            end
                         }
-                        t
                     };
                     // Re-evaluate the pause signal at the instant the
                     // round's effect is complete: the last transmit
@@ -1051,68 +1017,55 @@ impl LosslessFabric {
             }
         }
 
-        let telemetry = self.switch.telemetry_config().map(|_| {
-            let mut snap = TelemetrySnapshot::default();
-            for tree in &self.switch.ports {
-                if let Some(r) = tree.flight_recorder() {
-                    snap.absorb_recorder(r);
-                }
-            }
+        let run = SwitchRun {
+            ports: ports
+                .iter_mut()
+                .map(|p| std::mem::take(&mut p.engine.trace))
+                .collect(),
+            misrouted,
+        };
+        let telemetry = self.switch.telemetry_snapshot(&run).map(|mut snap| {
             // Pause/resume transitions and the stall verdict are driver
             // state, not tree state: synthesize their trace events here,
             // off the hot path.
+            let mut push = |time, kind, port: usize, value, aux| {
+                snap.counts[kind as usize] += 1;
+                snap.events_recorded += 1;
+                snap.events.push(TraceEvent {
+                    time,
+                    kind,
+                    port: port as u16,
+                    node: NO_NODE,
+                    flow: FlowId(0),
+                    value,
+                    aux,
+                });
+            };
             for e in &pause_events {
                 let kind = match e.action {
                     PauseAction::Pause => EventKind::Pause,
                     PauseAction::Resume => EventKind::Resume,
                 };
-                snap.counts[kind as usize] += 1;
-                snap.events_recorded += 1;
-                snap.events.push(TraceEvent {
-                    time: e.time,
-                    kind,
-                    port: e.port as u16,
-                    node: NO_NODE,
-                    flow: FlowId(0),
-                    value: e.class as u64,
-                    aux: 0,
-                });
+                push(e.time, kind, e.port, e.class as u64, 0);
             }
             if let Some(s) = &stall {
                 let (code, port) = match s.kind {
-                    StallKind::DeadPort { port } => (0u64, port as u16),
+                    StallKind::DeadPort { port } => (0, port),
                     StallKind::StuckPool => (1, 0),
-                    StallKind::PauseStorm { port } => (2, port as u16),
+                    StallKind::PauseStorm { port } => (2, port),
                     StallKind::RoundBudget { .. } => (3, 0),
                     StallKind::CircularWait => (4, 0),
                 };
-                snap.counts[EventKind::Fault as usize] += 1;
-                snap.events_recorded += 1;
-                snap.events.push(TraceEvent {
-                    time: s.at,
-                    kind: EventKind::Fault,
-                    port,
-                    node: NO_NODE,
-                    flow: FlowId(0),
-                    value: code,
-                    aux: u32::try_from(s.paused_for.as_nanos()).unwrap_or(u32::MAX),
-                });
+                let aux = u32::try_from(s.paused_for.as_nanos()).unwrap_or(u32::MAX);
+                push(s.at, EventKind::Fault, port, code, aux);
             }
             snap.sort_events();
-            snap.gauges.push(g_pool);
-            snap.gauges.push(g_paused);
-            snap.gauges.push(g_skid);
+            snap.gauges.extend([g_pool, g_paused, g_skid]);
             snap
         });
 
         LosslessRun {
-            run: SwitchRun {
-                ports: ports
-                    .iter_mut()
-                    .map(|p| std::mem::take(&mut p.trace))
-                    .collect(),
-                misrouted,
-            },
+            run,
             pause_events,
             stall,
             sources: srcs.iter().map(|s| s.stats).collect(),

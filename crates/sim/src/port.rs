@@ -5,9 +5,14 @@
 //! scheduler's job) and *transmission* (the link's): it enqueues arrivals
 //! at their arrival times, asks the scheduler for the next packet whenever
 //! the link is free, and accounts each transmission at the link rate.
+//! The round body that does this is shared: [`run_port`], the
+//! [`switch`](crate::switch) fabric and the [`lossless`](crate::lossless)
+//! fabric all transmit through the same crate-private engine.
 
 use crate::scheduler::PortScheduler;
+use crate::switch::PortTrace;
 use pifo_core::prelude::*;
+use std::iter::Peekable;
 
 /// One transmitted packet with its port-level timing.
 ///
@@ -82,55 +87,117 @@ pub fn run_port(
         arrivals.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "arrivals must be time-sorted"
     );
-    let mut out = Vec::with_capacity(arrivals.len());
-    let mut i = 0;
-    // The next instant the link could begin a transmission.
-    let mut t = arrivals.first().map(|p| p.arrival).unwrap_or(Nanos::ZERO);
-
-    loop {
-        if t >= cfg.horizon {
-            break;
-        }
-        // Everything that has arrived by `t` enters the scheduler, at its
-        // own arrival time (transactions read `now`).
-        while i < arrivals.len() && arrivals[i].arrival <= t {
-            let p = arrivals[i].clone();
-            let at = p.arrival;
-            sched.enqueue(p, at);
-            i += 1;
-        }
-
-        match sched.dequeue(t) {
-            Some(mut p) => {
-                let finish = t + tx_time(p.length as u64, cfg.rate_bps);
-                let wait = t.saturating_sub(p.arrival);
-                if cfg.charge_lstf_slack {
-                    p.slack -= wait.as_nanos() as i64;
-                }
-                out.push(Departure {
-                    packet: p,
-                    start: t,
-                    finish,
-                    wait,
-                });
-                t = finish;
-            }
-            None => {
-                // Idle: jump to the next arrival or shaping release.
-                let next_arrival = arrivals.get(i).map(|p| p.arrival);
-                let next_ready = sched.next_ready(t);
-                let next = match (next_arrival, next_ready) {
-                    (Some(a), Some(r)) => a.min(r),
-                    (Some(a), None) => a,
-                    (None, Some(r)) => r,
-                    (None, None) => break, // drained
-                };
-                debug_assert!(next > t, "port must make progress (t={t}, next={next})");
-                t = next.max(Nanos(t.as_nanos() + 1));
-            }
+    // One packet per round: every dequeue is decided when the link frees.
+    let mut engine = PortEngine::new(cfg.rate_bps, 1);
+    engine.trace.departures.reserve(arrivals.len());
+    let mut pending = arrivals.iter().cloned().peekable();
+    let mut next = Some(arrivals.first().map_or(Nanos::ZERO, |p| p.arrival));
+    while let Some(now) = next.filter(|&t| t < cfg.horizon) {
+        next = engine.step(sched, &mut pending, now);
+    }
+    let mut out = engine.trace.departures;
+    if cfg.charge_lstf_slack {
+        for d in &mut out {
+            d.packet.slack -= d.wait.as_nanos() as i64;
         }
     }
     out
+}
+
+/// The one round engine behind every port driver: [`run_port`],
+/// [`Switch`](crate::switch::Switch) and
+/// [`LosslessFabric`](crate::lossless::LosslessFabric). A round makes up
+/// to `burst` dequeues, all decided at one instant, and transmits them
+/// back-to-back at the port's rate; the engine accumulates the port's
+/// trace. Callers own the rest: when rounds run, horizons, and any
+/// admission control or faults around them.
+pub(crate) struct PortEngine {
+    /// Departures, drops and path records so far.
+    pub(crate) trace: PortTrace,
+    rate_bps: u64,
+    burst: usize,
+}
+
+impl PortEngine {
+    /// An engine transmitting at `rate_bps`, `burst` packets per round.
+    pub(crate) fn new(rate_bps: u64, burst: usize) -> Self {
+        PortEngine {
+            trace: PortTrace::default(),
+            rate_bps,
+            burst,
+        }
+    }
+
+    /// One round decided at `now`: up to `burst` dequeues, transmitted
+    /// back-to-back from `now`, then the round's path records. Returns
+    /// the instant the round's last bit leaves, or `None` when `q` had
+    /// nothing to send.
+    pub(crate) fn serve<S: PortScheduler + ?Sized>(
+        &mut self,
+        q: &mut S,
+        now: Nanos,
+    ) -> Option<Nanos> {
+        let deps = &mut self.trace.departures;
+        let first = deps.len();
+        let mut t = now;
+        for _ in 0..self.burst {
+            let Some(packet) = q.dequeue(now) else { break };
+            let finish = t + tx_time(packet.length as u64, self.rate_bps);
+            deps.push(Departure {
+                wait: t.saturating_sub(packet.arrival),
+                start: t,
+                finish,
+                packet,
+            });
+            t = finish;
+        }
+        if deps.len() == first {
+            return None;
+        }
+        // One record completed per packet dequeued this round, in
+        // dequeue order — the departures just pushed. Stamp `departed`
+        // with the transmit start so telemetry waits reconcile with
+        // `Departure::wait`.
+        let mut recs = q.completed_paths();
+        let base = deps.len() - recs.len();
+        for (r, d) in recs.iter_mut().zip(&deps[base..]) {
+            r.departed = d.start;
+        }
+        self.trace.paths.append(&mut recs);
+        Some(t)
+    }
+
+    /// One round at `now` for a port fed from `pending` (time-sorted):
+    /// admit every packet due by `now`, each at its own arrival instant
+    /// (a refusal counts as a drop), then [`serve`](Self::serve). Returns
+    /// the next round's decision time: the round's end, or when idle the
+    /// next arrival or scheduler release — `None` when there is neither.
+    pub(crate) fn step<S, I>(
+        &mut self,
+        q: &mut S,
+        pending: &mut Peekable<I>,
+        now: Nanos,
+    ) -> Option<Nanos>
+    where
+        S: PortScheduler + ?Sized,
+        I: Iterator<Item = Packet>,
+    {
+        while let Some(p) = pending.next_if(|p| p.arrival <= now) {
+            let at = p.arrival;
+            if !q.enqueue(p, at) {
+                self.trace.drops += 1;
+            }
+        }
+        if let Some(end) = self.serve(q, now) {
+            return Some(end);
+        }
+        // Idle: everything due by `now` was admitted and released, so
+        // the next cause lies in the future.
+        let next_arrival = pending.peek().map(|p| p.arrival);
+        let next = next_arrival.into_iter().chain(q.next_ready(now)).min()?;
+        debug_assert!(next > now, "port must make progress (t={now}, next={next})");
+        Some(next.max(now + Nanos(1)))
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +268,80 @@ mod tests {
         let mut s = FifoSched::new(1_000);
         let out = run_port(&arr, &mut s, &PortConfig::new(10_000_000_000));
         assert_eq!(out.last().unwrap().finish, Nanos(100 * 1_200));
+    }
+
+    /// `run_port` is the engine at one packet per round, so it agrees
+    /// exactly with a one-port `Switch` at `with_burst(1)`: the same
+    /// departures and drops on every exact backend, for a flat STFQ tree
+    /// and a TBF-shaped leaf, with and without a horizon cutoff.
+    #[test]
+    fn run_port_matches_one_port_switch_at_burst_one() {
+        use crate::scheduler::TreeScheduler;
+        use crate::switch::{DrainMode, SwitchBuilder};
+        use crate::traffic::{merge, renumber, IncastSource, PoissonSource, TrafficSource};
+        use pifo_algos::{Stfq, TokenBucketFilter};
+
+        const RATE: u64 = 10_000_000_000;
+        let end = Nanos::from_micros(400);
+        let mut sources: Vec<Box<dyn TrafficSource>> = (0..4u32)
+            .map(|f| {
+                Box::new(PoissonSource::new(
+                    FlowId(f),
+                    1_000,
+                    250_000.0,
+                    end,
+                    11 + f as u64,
+                )) as Box<dyn TrafficSource>
+            })
+            .collect();
+        sources.push(Box::new(IncastSource::new(
+            FlowId(4),
+            16,
+            1_000,
+            4,
+            RATE,
+            Nanos::from_micros(100),
+            end,
+        )));
+        let mut arrivals = merge(sources);
+        renumber(&mut arrivals);
+
+        let tree = |backend: PifoBackend, shaped: bool| {
+            let mut b = TreeBuilder::new();
+            b.with_backend(backend).buffer_limit(64);
+            let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
+            let leaf = if shaped {
+                let leaf = b.add_child(root, "shaped", Box::new(Stfq::unweighted()));
+                b.set_shaper(leaf, Box::new(TokenBucketFilter::new(RATE / 2, 4_000)));
+                leaf
+            } else {
+                root
+            };
+            b.build(Box::new(move |_| leaf)).unwrap()
+        };
+        for backend in PifoBackend::EXACT {
+            for shaped in [false, true] {
+                for horizon in [None, Some(Nanos::from_micros(250))] {
+                    let label = format!("{backend} shaped={shaped} horizon={horizon:?}");
+                    let mut cfg = PortConfig::new(RATE);
+                    let mut sb = SwitchBuilder::new(RATE);
+                    sb.add_port(tree(backend, shaped));
+                    sb.with_burst(1);
+                    if let Some(h) = horizon {
+                        cfg = cfg.with_horizon(h);
+                        sb.with_horizon(h);
+                    }
+                    let mut sched = TreeScheduler::new("port", tree(backend, shaped));
+                    let deps = run_port(&arrivals, &mut sched, &cfg);
+                    let run = sb
+                        .build(Box::new(|_: &Packet| 0))
+                        .run(&arrivals, DrainMode::PerPacket);
+                    assert!(sched.drops() > 0, "[{label}] drops must be in play");
+                    assert_eq!(sched.drops(), run.ports[0].drops, "[{label}] drops");
+                    assert_eq!(deps, run.ports[0].departures, "[{label}] departures");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,18 @@ pub trait PortScheduler {
 
     /// Display name for reports.
     fn name(&self) -> &str;
+
+    /// Per-packet path records completed since the last call, in
+    /// dequeue order; the port stamps each with its transmit start.
+    /// Schedulers without path telemetry keep the default: none.
+    fn completed_paths(&mut self) -> Vec<PathRecord> {
+        Vec::new()
+    }
 }
 
-/// Adapter: any [`ScheduleTree`] is a [`PortScheduler`].
+/// Adapter: a [`ScheduleTree`] under a display label, counting drops.
+/// Path records stay in the tree (this adapter keeps the default
+/// [`PortScheduler::completed_paths`]).
 pub struct TreeScheduler {
     tree: ScheduleTree,
     label: String,
@@ -64,34 +73,57 @@ impl TreeScheduler {
 
 impl PortScheduler for TreeScheduler {
     fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
-        match self.tree.enqueue(pkt, now) {
-            Ok(()) => true,
-            Err(_) => {
-                self.drops += 1;
-                false
-            }
-        }
+        let admitted = PortScheduler::enqueue(&mut self.tree, pkt, now);
+        self.drops += u64::from(!admitted);
+        admitted
     }
 
     fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
         self.tree.dequeue(now)
     }
 
-    fn next_ready(&self, _now: Nanos) -> Option<Nanos> {
-        // If the root has work, "now"; otherwise the next shaping release.
-        if self.tree.peek().is_some() {
-            None // port only calls this after a failed dequeue
-        } else {
-            self.tree.next_shaping_event()
-        }
+    fn next_ready(&self, now: Nanos) -> Option<Nanos> {
+        self.tree.next_ready(now)
     }
 
     fn backlog(&self) -> usize {
-        self.tree.len()
+        self.tree.backlog()
     }
 
     fn name(&self) -> &str {
         &self.label
+    }
+}
+
+/// A tree is itself a port scheduler: the switch fabrics drive their
+/// port trees through this impl, monomorphised.
+impl PortScheduler for ScheduleTree {
+    fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
+        ScheduleTree::enqueue(self, pkt, now).is_ok()
+    }
+
+    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        ScheduleTree::dequeue(self, now)
+    }
+
+    fn next_ready(&self, _now: Nanos) -> Option<Nanos> {
+        if self.peek().is_some() {
+            None // port only calls this after a failed dequeue
+        } else {
+            self.next_shaping_event()
+        }
+    }
+
+    fn backlog(&self) -> usize {
+        self.len()
+    }
+
+    fn name(&self) -> &str {
+        self.node_name(self.root())
+    }
+
+    fn completed_paths(&mut self) -> Vec<PathRecord> {
+        self.drain_path_records()
     }
 }
 

@@ -20,8 +20,11 @@
 //! port admits everything that has arrived by `t` — one
 //! [`ScheduleTree::enqueue`] per packet, at its own arrival instant —
 //! and then commits up to `burst` packets, one [`ScheduleTree::dequeue`]
-//! each, all decided at `t` and transmitted back-to-back. The
-//! [`DrainMode`] chooses only which thread runs which port's rounds.
+//! each, all decided at `t` and transmitted back-to-back. That round
+//! body is the one [`run_port`](crate::port::run_port) and the
+//! [`lossless`](crate::lossless) fabric run too; the fabric adds only
+//! the round order and gauge sampling. The [`DrainMode`] chooses only
+//! which thread runs which port's rounds.
 //!
 //! # One buffer for all ports
 //!
@@ -74,7 +77,7 @@
 //! path, and multi-threaded pool *accounting* is exercised (and
 //! sanitized) by the pool's own stress tests.
 
-use crate::port::Departure;
+use crate::port::{Departure, PortEngine};
 use pifo_core::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -458,30 +461,33 @@ impl Switch {
             }
         }
 
-        let telemetry = self.telemetry;
-        let mut sims: Vec<PortSim> = per_port
+        let mut feeds: Vec<FedPort> = per_port
             .into_iter()
             .zip(&self.ports)
             .enumerate()
-            .map(|(i, (arr, tree))| PortSim::new(arr, tree, self.burst, i, telemetry))
+            .map(|(i, (arr, tree))| self.feed(i, arr, tree))
             .collect();
 
         match mode {
             DrainMode::Parallel { workers } if self.ports_are_independent() => {
-                self.drain_parallel(&mut sims, workers);
+                self.drain_parallel(&mut feeds, workers);
             }
             // Shared-pool admission is a serial dependency chain through
             // the pool's occupancy, so `Parallel` commits such fabrics'
             // rounds in the sequential global order too.
-            _ => self.drain_global_order(&mut sims),
+            _ => self.drain_global_order(&mut feeds),
         }
 
         SwitchRun {
-            ports: sims
+            ports: feeds
                 .into_iter()
-                .map(|mut s| {
-                    s.flush_gauges();
-                    s.trace
+                .map(|f| {
+                    let mut trace = f.engine.trace;
+                    // The inversions series only exists when tracking.
+                    if trace.gauges.last().is_some_and(|g| g.points.is_empty()) {
+                        trace.gauges.pop();
+                    }
+                    trace
                 })
                 .collect(),
             misrouted,
@@ -522,18 +528,40 @@ impl Switch {
             .all(|t| t.packet_buffer().num_ports() <= 1)
     }
 
+    /// Port `port`'s run state: its classified `arrivals` and a first
+    /// round at the earliest arrival (or at zero when only the tree
+    /// holds work), with its gauge series when telemetry is on.
+    fn feed(&self, port: usize, arrivals: Vec<Packet>, tree: &ScheduleTree) -> FedPort {
+        let next = match arrivals.first() {
+            Some(p) => Some(p.arrival),
+            None if tree.is_empty() && tree.shaped_len() == 0 => None,
+            None => Some(Nanos::ZERO),
+        };
+        let mut engine = PortEngine::new(self.rate_bps, self.burst);
+        if self.telemetry.is_some() {
+            engine.trace.gauges = ["depth", "pool_occupancy", "inversions"]
+                .map(|g| GaugeSeries::new(format!("port{port}.{g}")))
+                .into();
+        }
+        FedPort {
+            engine,
+            pending: arrivals.into_iter().peekable(),
+            next: next.filter(|&t| t < self.horizon),
+            rounds: 0,
+        }
+    }
+
     /// Global round interleaving: always advance the port whose next
     /// scheduling round is earliest (ties → lowest port index).
-    fn drain_global_order(&mut self, sims: &mut [PortSim]) {
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, s) in sims.iter().enumerate() {
-                if !s.done && best.map_or(true, |b| s.t < sims[b].t) {
-                    best = Some(i);
-                }
-            }
-            let Some(i) = best else { break };
-            sims[i].step_round(&mut self.ports[i], self.rate_bps, self.horizon, self.burst);
+    fn drain_global_order(&mut self, feeds: &mut [FedPort]) {
+        let sample_every = self.sample_every();
+        while let Some((i, _)) = feeds
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| f.next.map(|t| (i, t)))
+            .min_by_key(|&(_, t)| t)
+        {
+            feeds[i].round(&mut self.ports[i], self.horizon, sample_every);
         }
     }
 
@@ -543,16 +571,16 @@ impl Switch {
     /// to completion. Only sound for independent ports
     /// (checked by the caller): nothing a port does is observable by
     /// another, so every per-port trace is the same as sequentially.
-    fn drain_parallel(&mut self, sims: &mut [PortSim], workers: usize) {
-        let (rate_bps, horizon, burst) = (self.rate_bps, self.horizon, self.burst);
-        let n = sims.len();
+    fn drain_parallel(&mut self, feeds: &mut [FedPort], workers: usize) {
+        let (horizon, sample_every) = (self.horizon, self.sample_every());
+        let n = feeds.len();
         let workers = match workers {
             0 => std::thread::available_parallelism().map_or(1, |c| c.get()),
             w => w,
         }
         .min(n.max(1));
         let chunk = if n > 16 { 4 } else { 1 };
-        let jobs: Vec<Mutex<(&mut PortSim, &mut ScheduleTree)>> = sims
+        let jobs: Vec<Mutex<(&mut FedPort, &mut ScheduleTree)>> = feeds
             .iter_mut()
             .zip(self.ports.iter_mut())
             .map(Mutex::new)
@@ -569,161 +597,55 @@ impl Switch {
                         // Uncontended by construction: each job index is
                         // claimed exactly once.
                         let mut guard = job.lock().expect("port job poisoned");
-                        let (sim, tree) = &mut *guard;
-                        while !sim.done {
-                            sim.step_round(tree, rate_bps, horizon, burst);
+                        let (feed, tree) = &mut *guard;
+                        while feed.next.is_some() {
+                            feed.round(tree, horizon, sample_every);
                         }
                     }
                 });
             }
         });
     }
+
+    /// Rounds between gauge samples, when telemetry is on.
+    pub(crate) fn sample_every(&self) -> Option<u64> {
+        self.telemetry.map(|c| c.sample_every.max(1))
+    }
 }
 
-/// One port's progress through [`Switch::run`]: its pending classified
-/// arrivals, the time its next scheduling round is decided at, and the
-/// trace accumulated so far. The tree itself stays in `Switch::ports`
-/// (borrowed per round) so shared-pool borrows never overlap.
-struct PortSim {
+/// One port's progress through [`Switch::run`]: its round engine, its
+/// pending classified arrivals, and the decision time of its next
+/// round (`None` once drained or past the horizon). The tree itself
+/// stays in `Switch::ports` (borrowed per round) so shared-pool borrows
+/// never overlap.
+struct FedPort {
+    engine: PortEngine,
     /// The port owns its arrivals: packets move (never clone) from the
     /// classified stream into the tree.
     pending: std::iter::Peekable<std::vec::IntoIter<Packet>>,
-    /// Decision time of the next scheduling round.
-    t: Nanos,
-    done: bool,
-    trace: PortTrace,
-    /// Reused across rounds so the steady state allocates nothing.
-    round: Vec<Packet>,
+    next: Option<Nanos>,
     /// Scheduling rounds executed so far (drives gauge sampling; counts
     /// the same way in both drain modes, so sample instants agree).
     rounds: u64,
-    /// `Some(every)` when telemetry gauges are being sampled.
-    sample_every: Option<u64>,
-    depth_gauge: GaugeSeries,
-    occ_gauge: GaugeSeries,
-    inv_gauge: GaugeSeries,
 }
 
-impl PortSim {
-    fn new(
-        arrivals: Vec<Packet>,
-        tree: &ScheduleTree,
-        burst: usize,
-        port: usize,
-        telemetry: Option<TelemetryConfig>,
-    ) -> PortSim {
-        let (t, done) = match arrivals.first() {
-            Some(p) => (p.arrival, false),
-            None if tree.is_empty() && tree.shaped_len() == 0 => (Nanos::ZERO, true),
-            None => (Nanos::ZERO, false),
-        };
-        PortSim {
-            pending: arrivals.into_iter().peekable(),
-            t,
-            done,
-            trace: PortTrace::default(),
-            round: Vec::with_capacity(burst),
-            rounds: 0,
-            sample_every: telemetry.map(|c| c.sample_every.max(1)),
-            depth_gauge: GaugeSeries::new(format!("port{port}.depth")),
-            occ_gauge: GaugeSeries::new(format!("port{port}.pool_occupancy")),
-            inv_gauge: GaugeSeries::new(format!("port{port}.inversions")),
-        }
-    }
-
-    /// Move the sampled gauge series into the trace (end of run).
-    fn flush_gauges(&mut self) {
-        if self.sample_every.is_some() {
-            self.trace.gauges = vec![
-                std::mem::take(&mut self.depth_gauge),
-                std::mem::take(&mut self.occ_gauge),
-            ];
-            if !self.inv_gauge.points.is_empty() {
-                self.trace.gauges.push(std::mem::take(&mut self.inv_gauge));
-            }
-        }
-    }
-
-    /// Execute one scheduling round at `self.t`: admit everything
-    /// arrived by then (each packet at its own arrival instant), commit
-    /// up to `burst` packets decided at `t`, transmit back-to-back; when
-    /// idle, hop to the next arrival or shaping release, or finish.
-    fn step_round(&mut self, tree: &mut ScheduleTree, rate_bps: u64, horizon: Nanos, burst: usize) {
-        if self.t >= horizon {
-            self.done = true;
-            return;
-        }
-        let t = self.t;
-        while let Some(p) = self.pending.next_if(|p| p.arrival <= t) {
-            let at = p.arrival;
-            if tree.enqueue(p, at).is_err() {
-                self.trace.drops += 1;
-            }
-        }
-
-        // One scheduling round, decided at `t`.
-        self.round.clear();
-        while self.round.len() < burst {
-            match tree.dequeue(t) {
-                Some(p) => self.round.push(p),
-                None => break,
-            }
-        }
-
-        // Gauge sampling happens at a fixed point in the round — after
-        // the dequeue decisions, before transmit — so the sampled values
-        // and instants are identical in both drain modes.
+impl FedPort {
+    /// Run the round due at `self.next`, then sample the gauges at its
+    /// decision time: the tree holds what the round's dequeues left, so
+    /// the samples are identical in both drain modes.
+    fn round(&mut self, tree: &mut ScheduleTree, horizon: Nanos, sample_every: Option<u64>) {
+        let Some(now) = self.next else { return };
+        self.next = self
+            .engine
+            .step(tree, &mut self.pending, now)
+            .filter(|&t| t < horizon);
         self.rounds += 1;
-        if let Some(every) = self.sample_every {
-            if self.rounds % every == 0 {
-                self.depth_gauge.push(self.t, tree.len() as u64);
-                self.occ_gauge
-                    .push(self.t, tree.packet_buffer().live() as u64);
-                if let Some(s) = tree.inversion_stats() {
-                    self.inv_gauge.push(self.t, s.inversions);
-                }
-            }
-        }
-
-        if self.round.is_empty() {
-            // Idle: hop to the next arrival or shaping release. The
-            // round already released everything due at `t`, so any
-            // pending shaping event is strictly in the future.
-            let next_arrival = self.pending.peek().map(|p| p.arrival);
-            let next_ready = tree.next_shaping_event();
-            let next = match (next_arrival, next_ready) {
-                (Some(a), Some(r)) => a.min(r),
-                (Some(a), None) => a,
-                (None, Some(r)) => r,
-                (None, None) => {
-                    self.done = true; // drained for good
-                    return;
-                }
-            };
-            self.t = next.max(Nanos(self.t.as_nanos() + 1));
-        } else {
-            // Transmit the round back-to-back at line rate.
-            for p in self.round.drain(..) {
-                let finish = self.t + tx_time(p.length as u64, rate_bps);
-                self.trace.departures.push(Departure {
-                    wait: self.t.saturating_sub(p.arrival),
-                    start: self.t,
-                    finish,
-                    packet: p,
-                });
-                self.t = finish;
-            }
-            if tree.path_records_enabled() {
-                // One record completed per packet dequeued this round,
-                // in dequeue order — exactly the departures just pushed.
-                // Finalize `departed` to each packet's transmit start so
-                // telemetry waits reconcile with `Departure::wait`.
-                let mut recs = tree.drain_path_records();
-                let base = self.trace.departures.len() - recs.len();
-                for (i, r) in recs.iter_mut().enumerate() {
-                    r.departed = self.trace.departures[base + i].start;
-                }
-                self.trace.paths.append(&mut recs);
+        if sample_every.is_some_and(|every| self.rounds % every == 0) {
+            let g = &mut self.engine.trace.gauges;
+            g[0].push(now, tree.len() as u64);
+            g[1].push(now, tree.packet_buffer().live() as u64);
+            if let Some(s) = tree.inversion_stats() {
+                g[2].push(now, s.inversions);
             }
         }
     }

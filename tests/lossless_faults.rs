@@ -224,4 +224,17 @@ fn slow_drain_completes_without_stall() {
     );
     // The slowed port was paused harder than its healthy peers.
     assert!(run.port_paused[0] > run.port_paused[1]);
+    // The slowed rate reaches the wire: port 0 transmits at a quarter of
+    // the line rate, its peers at the full rate.
+    for (port, trace) in run.run.ports.iter().enumerate() {
+        let rate = if port == 0 { RATE_BPS / 4 } else { RATE_BPS };
+        assert!(!trace.departures.is_empty(), "port {port} transmits");
+        for d in &trace.departures {
+            assert_eq!(
+                d.finish - d.start,
+                tx_time(d.packet.length as u64, rate),
+                "port {port} departure {d:?}"
+            );
+        }
+    }
 }

@@ -37,17 +37,16 @@
 //! off vs on, asserting the metrics layer is zero-cost when disabled
 //! and cheap when enabled.
 //!
-//! Results go to `BENCH_approx.json` at the repo root (override with
-//! `BENCH_APPROX_OUT`); `--smoke` / `BENCH_APPROX_SMOKE=1` drops the
-//! 60 K occupancy for CI.
+//! Quality is scored once per cell before timing; throughput is timed
+//! through [`pifo_bench::measure`]. Results go to `BENCH_approx.json`;
+//! `--smoke` drops the 60 K occupancy for CI.
 
+use pifo_bench::measure::{Bench, Row};
 use pifo_core::metrics::{
     replay_with_stats, score_against_oracle, InversionStats, OracleScore, TraceOp,
 };
 use pifo_core::prelude::*;
 use pifo_core::transaction::FnTransaction;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Deterministic 64-bit LCG (same multiplier as PCG's): benches must be
 /// reproducible run to run, so no OS entropy.
@@ -138,28 +137,20 @@ fn build_trace(ranks: &[u64], occ: usize, churn: usize) -> Vec<TraceOp> {
     trace
 }
 
-struct Cell {
+/// One backend on one (traffic, occupancy) trace, quality pre-scored.
+struct Cell<'a> {
     backend: PifoBackend,
     traffic: &'static str,
     occupancy: usize,
-    packets: u64,
-    elapsed_ns: u128,
+    trace: &'a [TraceOp],
     stats: InversionStats,
     oracle: OracleScore,
 }
 
-impl Cell {
-    fn pps(&self) -> f64 {
-        self.packets as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
-}
-
-/// Timed replay on the bare enum-dispatched queue — the same hot path a
-/// switch port drives, no tracker attached.
-fn timed_replay(backend: PifoBackend, occ: usize, trace: &[TraceOp]) -> (u64, u128) {
-    let mut q = backend.make_bounded::<()>(occ);
+/// Replay `trace` on the bare enum-dispatched queue — the same hot path
+/// a switch port drives, no tracker attached. Returns the pops.
+fn replay(q: &mut EnumPifo<()>, trace: &[TraceOp]) -> u64 {
     let mut pops = 0u64;
-    let start = Instant::now();
     for op in trace {
         match op {
             TraceOp::Push(rank) => {
@@ -172,17 +163,18 @@ fn timed_replay(backend: PifoBackend, occ: usize, trace: &[TraceOp]) -> (u64, u1
             }
         }
     }
-    (pops, start.elapsed().as_nanos())
+    pops
 }
 
-fn run_cell(
+/// Score one backend on one trace against the oracle; exact backends
+/// must score exactly zero.
+fn score(
     backend: PifoBackend,
-    traffic: &'static str,
+    traffic: &str,
     occ: usize,
     trace: &[TraceOp],
     oracle_pops: &[Rank],
-) -> Cell {
-    let (packets, elapsed_ns) = timed_replay(backend, occ, trace);
+) -> (InversionStats, OracleScore) {
     let (pops, stats) = replay_with_stats(backend, Some(occ), trace);
     let oracle = score_against_oracle(&pops, oracle_pops);
     if backend.is_exact() {
@@ -199,21 +191,12 @@ fn run_cell(
             "{backend}/{traffic}@{occ}: exact backend diverged from oracle: {oracle:?}"
         );
     }
-    Cell {
-        backend,
-        traffic,
-        occupancy: occ,
-        packets,
-        elapsed_ns,
-        stats,
-        oracle,
-    }
+    (stats, oracle)
 }
 
-/// A single-node priority tree at standing occupancy — the metrics
-/// overhead probe. Returns packets/second of the enqueue+dequeue churn
-/// loop with inversion tracking `enabled` or not.
-fn tree_churn_pps(tracking: bool, occ: usize, churn: usize) -> f64 {
+/// A single-node priority tree — the metrics overhead probe — with
+/// inversion tracking on or off.
+fn churn_tree(tracking: bool) -> ScheduleTree {
     let mut b = TreeBuilder::new();
     b.with_backend(PifoBackend::SortedArray)
         .track_inversions(tracking);
@@ -223,37 +206,23 @@ fn tree_churn_pps(tracking: bool, occ: usize, churn: usize) -> f64 {
             Rank(ctx.packet.class as u64)
         })),
     );
-    let mut tree = b.build(Box::new(move |_| root)).expect("single-node tree");
-    let mut id = 0u64;
-    let push = |tree: &mut ScheduleTree, id: &mut u64| {
-        let class = (Lcg(*id ^ 0x5DEECE66D).next() % 200) as u8;
-        tree.enqueue(
-            Packet::new(*id, FlowId(0), 1_000, Nanos(0)).with_class(class),
-            Nanos(0),
-        )
-        .expect("unbounded enqueue");
-        *id += 1;
-    };
-    for _ in 0..occ {
-        push(&mut tree, &mut id);
-    }
-    let start = Instant::now();
-    for _ in 0..churn {
-        let _ = tree.dequeue(Nanos(1));
-        push(&mut tree, &mut id);
-    }
-    let elapsed = start.elapsed().as_nanos();
-    while tree.dequeue(Nanos(1)).is_some() {}
-    if tracking {
-        let stats = tree.inversion_stats().expect("tracking enabled");
-        assert_eq!(stats.inversions, 0, "sorted root must stay exact");
-    }
-    churn as f64 / (elapsed as f64 / 1e9)
+    b.build(Box::new(move |_| root)).expect("single-node tree")
+}
+
+/// Enqueue packet `id` with a pseudo-random class, then bump `id`.
+fn push_next(tree: &mut ScheduleTree, id: &mut u64) {
+    let class = (Lcg(*id ^ 0x5DEECE66D).next() % 200) as u8;
+    tree.enqueue(
+        Packet::new(*id, FlowId(0), 1_000, Nanos(0)).with_class(class),
+        Nanos(0),
+    )
+    .expect("unbounded enqueue");
+    *id += 1;
 }
 
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_APPROX_SMOKE");
-    let occupancies: &[usize] = if smoke {
+    let mut bench = Bench::from_args("approx_quality");
+    let occupancies: &[usize] = if bench.smoke() {
         &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 60_000]
@@ -271,7 +240,7 @@ fn main() {
         ("pareto", pareto_ranks),
     ];
 
-    let mut cells = Vec::new();
+    let mut traces = Vec::new();
     for &occ in occupancies {
         // Churn at least matches the occupancy (with a floor for small
         // queues): the steady-state phase has to dominate the one-off
@@ -279,23 +248,46 @@ fn main() {
         // k-sweep acceptance gate measures.
         let churn = occ.max(10_000);
         for (traffic, gen) in traffics {
-            let ranks = gen(occ + churn);
-            let trace = build_trace(&ranks, occ, churn);
+            let trace = build_trace(&gen(occ + churn), occ, churn);
             let oracle_pops = pifo_core::metrics::oracle_pop_ranks(&trace);
-            for &backend in &backends {
-                let cell = run_cell(backend, traffic, occ, &trace, &oracle_pops);
-                println!(
-                    "approx_quality {traffic:<7} backend={:<9} occ={occ:<6} {:>12.0} pkts/s  \
-                     inversions={:<8} unpifoness={:<12} oracle_missing={}",
-                    cell.backend.to_string(),
-                    cell.pps(),
-                    cell.stats.inversions,
-                    cell.stats.unpifoness,
-                    cell.oracle.missing,
-                );
-                cells.push(cell);
-            }
+            traces.push((occ, traffic, trace, oracle_pops));
         }
+    }
+    let mut cells = Vec::new();
+    for (occ, traffic, trace, oracle_pops) in &traces {
+        for &backend in &backends {
+            let (stats, oracle) = score(backend, traffic, *occ, trace, oracle_pops);
+            cells.push(Cell {
+                backend,
+                traffic,
+                occupancy: *occ,
+                trace,
+                stats,
+                oracle,
+            });
+        }
+    }
+    let measured = bench.measure(&cells, |c, clock| {
+        let mut q = c.backend.make_bounded::<()>(c.occupancy);
+        clock.time(|| replay(&mut q, c.trace))
+    });
+    let pps_of = |i: usize| measured[i].elapsed.per_sec(measured[i].out);
+    for (c, m) in cells.iter().zip(&measured) {
+        bench.row(
+            Row::new()
+                .field("backend", c.backend.to_string())
+                .field("traffic", c.traffic)
+                .field("occupancy", c.occupancy)
+                .timed(&m.elapsed, m.out)
+                .field("dequeues", c.stats.dequeues)
+                .field("inversions", c.stats.inversions)
+                .field("unpifoness", c.stats.unpifoness)
+                .field("max_regression", c.stats.max_regression)
+                .num("mean_displacement", c.stats.mean_displacement(), 3)
+                .field("oracle_displaced", c.oracle.displaced)
+                .field("oracle_total_displacement", c.oracle.total_displacement)
+                .field("oracle_missing", c.oracle.missing),
+        );
     }
 
     // Acceptance: SP-PIFO gets strictly better (lower unpifoness) as its
@@ -338,11 +330,14 @@ fn main() {
     if let Some(&deep) = occupancies.iter().find(|&&o| o == 60_000) {
         for (traffic, _) in traffics {
             let pps = |backend: PifoBackend| {
-                cells
-                    .iter()
-                    .find(|c| c.occupancy == deep && c.traffic == traffic && c.backend == backend)
-                    .expect("cell measured")
-                    .pps()
+                pps_of(
+                    cells
+                        .iter()
+                        .position(|c| {
+                            c.occupancy == deep && c.traffic == traffic && c.backend == backend
+                        })
+                        .expect("cell measured"),
+                )
             };
             let sorted = pps(PifoBackend::SortedArray);
             for approx in PifoBackend::APPROX {
@@ -359,9 +354,26 @@ fn main() {
     // Overhead leg: the tracking hook must cost nothing when disabled
     // and stay cheap when enabled (sorted root: BTreeMap bookkeeping
     // only, no inversions to score).
-    let (ovh_occ, ovh_churn) = (10_000, 50_000);
-    let pps_off = tree_churn_pps(false, ovh_occ, ovh_churn);
-    let pps_on = tree_churn_pps(true, ovh_occ, ovh_churn);
+    let (ovh_occ, ovh_churn) = (10_000usize, 50_000u64);
+    let overhead = bench.measure(&[false, true], |&tracking, clock| {
+        let mut tree = churn_tree(tracking);
+        let mut id = 0u64;
+        for _ in 0..ovh_occ {
+            push_next(&mut tree, &mut id);
+        }
+        clock.time(|| {
+            for _ in 0..ovh_churn {
+                let _ = tree.dequeue(Nanos(1));
+                push_next(&mut tree, &mut id);
+            }
+        });
+        while tree.dequeue(Nanos(1)).is_some() {}
+        if tracking {
+            let stats = tree.inversion_stats().expect("tracking enabled");
+            assert_eq!(stats.inversions, 0, "sorted root must stay exact");
+        }
+    });
+    let [pps_off, pps_on] = [0, 1].map(|i| overhead[i].elapsed.per_sec(ovh_churn));
     println!(
         "approx_quality overhead sorted@{ovh_occ}: tracking off {pps_off:.0} pkts/s, \
          on {pps_on:.0} pkts/s ({:.2}x)",
@@ -376,50 +388,13 @@ fn main() {
         "disabled tracking must not be slower than enabled ({pps_off:.0} vs {pps_on:.0})"
     );
 
-    // Hand-rolled JSON (no serde in the offline workspace).
-    let mut json = String::from("{\n  \"bench\": \"approx_quality\",\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
+    bench.field(
+        "overhead",
+        Row::new()
+            .field("scenario", "sorted_tree_churn")
+            .field("occupancy", ovh_occ)
+            .num("tracking_off_pps", pps_off, 0)
+            .num("tracking_on_pps", pps_on, 0),
     );
-    let _ = writeln!(
-        json,
-        "  \"overhead\": {{\"scenario\": \"sorted_tree_churn\", \"occupancy\": {ovh_occ}, \
-         \"tracking_off_pps\": {pps_off:.0}, \"tracking_on_pps\": {pps_on:.0}}},"
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"backend\": \"{}\", \"traffic\": \"{}\", \"occupancy\": {}, \
-             \"packets\": {}, \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}, \
-             \"dequeues\": {}, \"inversions\": {}, \"unpifoness\": {}, \
-             \"max_regression\": {}, \"mean_displacement\": {:.3}, \
-             \"oracle_displaced\": {}, \"oracle_total_displacement\": {}, \
-             \"oracle_missing\": {}}}",
-            c.backend,
-            c.traffic,
-            c.occupancy,
-            c.packets,
-            c.elapsed_ns,
-            c.pps(),
-            c.stats.dequeues,
-            c.stats.inversions,
-            c.stats.unpifoness,
-            c.stats.max_regression,
-            c.stats.mean_displacement(),
-            c.oracle.displaced,
-            c.oracle.total_displacement,
-            c.oracle.missing,
-        );
-        json.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = std::env::var("BENCH_APPROX_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_approx.json").to_string()
-    });
-    std::fs::write(&out, &json).expect("write BENCH_approx.json");
-    println!("wrote {out}");
+    bench.write("BENCH_approx.json");
 }

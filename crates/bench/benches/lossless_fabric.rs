@@ -15,16 +15,15 @@
 //!   hog is paced to its drain rate instead of shedding.
 //!
 //! Every discipline runs on every exact PIFO backend; the lossless leg
-//! also reports pause counts and peak pool occupancy. Results land in
-//! `BENCH_lossless.json` (override with `BENCH_LOSSLESS_OUT`);
-//! `--smoke` / `BENCH_LOSSLESS_SMOKE=1` shrinks the sweep for CI.
+//! also reports pause counts and peak pool occupancy. Cells are timed
+//! through [`pifo_bench::measure`]; results land in
+//! `BENCH_lossless.json`, and `--smoke` shrinks the sweep for CI.
 
 use pifo_algos::Stfq;
+use pifo_bench::measure::{Bench, Clock, Row};
 use pifo_core::prelude::*;
 use pifo_sim::switch::{DrainMode, SwitchBuilder};
-use pifo_sim::{IncastSource, LosslessConfig, LosslessFabric, LosslessRun, TrafficSource};
-use std::fmt::Write as _;
-use std::time::Instant;
+use pifo_sim::{IncastSource, LosslessConfig, LosslessFabric, TrafficSource};
 
 const PORTS: usize = 16;
 const RATE_BPS: u64 = 10_000_000_000;
@@ -75,21 +74,13 @@ impl Discipline {
     }
 }
 
-struct Record {
-    discipline: Discipline,
-    backend: PifoBackend,
+/// What one run of a cell moved, dropped and paused.
+struct Outcome {
     packets: u64,
     departed: u64,
     drops: u64,
     pauses: usize,
     peak_pool: usize,
-    elapsed_ns: u128,
-}
-
-impl Record {
-    fn pps(&self) -> f64 {
-        self.packets as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
 }
 
 /// The drop-based runs replay a pre-generated arrival trace (open loop:
@@ -147,31 +138,30 @@ fn build_switch(discipline: Discipline, backend: PifoBackend) -> pifo_sim::Switc
     sb.build(Box::new(classify))
 }
 
-fn run_drop_based(discipline: Discipline, backend: PifoBackend, arr: &[Packet]) -> Record {
+fn run_drop_based(
+    discipline: Discipline,
+    backend: PifoBackend,
+    arr: &[Packet],
+    clock: &mut Clock,
+) -> Outcome {
     let mut sw = build_switch(discipline, backend);
-    let start = Instant::now();
-    let run = sw.run(arr, DrainMode::PerPacket);
-    let elapsed_ns = start.elapsed().as_nanos();
+    let run = clock.time(|| sw.run(arr, DrainMode::PerPacket));
     let handled = run.total_departures() as u64 + run.total_drops();
     assert_eq!(handled, arr.len() as u64, "every packet accounted");
-    Record {
-        discipline,
-        backend,
+    Outcome {
         packets: handled,
         departed: run.total_departures() as u64,
         drops: run.total_drops(),
         pauses: 0,
         peak_pool: 0,
-        elapsed_ns,
     }
 }
 
-fn run_lossless(backend: PifoBackend, waves: u64) -> (Record, LosslessRun) {
+fn run_lossless(backend: PifoBackend, waves: u64, clock: &mut Clock) -> Outcome {
     let cfg = LosslessConfig::new(XOFF, XON).with_headroom(HEADROOM);
     let mut fabric = LosslessFabric::new(build_switch(Discipline::PfcLossless, backend), cfg);
-    let start = Instant::now();
-    let run = fabric.run(hog_source(waves), DrainMode::PerPacket);
-    let elapsed_ns = start.elapsed().as_nanos();
+    let sources = hog_source(waves);
+    let run = clock.time(|| fabric.run(sources, DrainMode::PerPacket));
 
     // The zero-drop contract is a bench invariant, not just a column.
     assert!(run.stall.is_none(), "lossless run stalled: {:?}", run.stall);
@@ -182,7 +172,6 @@ fn run_lossless(backend: PifoBackend, waves: u64) -> (Record, LosslessRun) {
         run.count_events(pifo_sim::PauseAction::Resume),
         "every pause must resolve"
     );
-    let cfg = LosslessConfig::new(XOFF, XON).with_headroom(HEADROOM);
     assert!(
         run.max_pool_live <= cfg.min_pool_capacity(PORTS),
         "pool peak {} exceeds the sizing rule {}",
@@ -191,57 +180,61 @@ fn run_lossless(backend: PifoBackend, waves: u64) -> (Record, LosslessRun) {
     );
 
     let departed = run.total_departures() as u64;
-    let record = Record {
-        discipline: Discipline::PfcLossless,
-        backend,
+    Outcome {
         packets: departed,
         departed,
         drops: 0,
         pauses: run.count_events(pifo_sim::PauseAction::Pause),
         peak_pool: run.max_pool_live,
-        elapsed_ns,
-    };
-    (record, run)
+    }
 }
 
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_LOSSLESS_SMOKE");
-    let waves: u64 = if smoke { 25 } else { 400 };
+    let mut bench = Bench::from_args("lossless_fabric");
+    for (key, value) in [
+        ("ports", PORTS),
+        ("pool_capacity", POOL_CAPACITY),
+        ("xoff", XOFF),
+        ("xon", XON),
+        ("headroom", HEADROOM),
+    ] {
+        bench.config(key, value);
+    }
+    let waves: u64 = if bench.smoke() { 25 } else { 400 };
     let arr = arrivals(waves);
-    println!(
-        "lossless_fabric: {} storm packets ({} waves x {WAVE_PKTS}), {} mode",
-        arr.len(),
-        waves,
-        if smoke { "smoke" } else { "full" }
-    );
+    bench.config("waves", waves);
+    bench.config("storm_packets", arr.len());
 
-    let mut results: Vec<Record> = Vec::new();
-    for discipline in Discipline::ALL {
-        for backend in PifoBackend::EXACT {
-            let r = match discipline {
-                Discipline::PfcLossless => run_lossless(backend, waves).0,
-                _ => run_drop_based(discipline, backend, &arr),
-            };
-            println!(
-                "lossless_fabric {:<13} backend={:<6} {:>12.0} pkts/s  departed={:<8} drops={:<8} pauses={:<6} peak_pool={}",
-                r.discipline.label(),
-                r.backend.label(),
-                r.pps(),
-                r.departed,
-                r.drops,
-                r.pauses,
-                r.peak_pool,
-            );
-            results.push(r);
-        }
+    let cells: Vec<(Discipline, PifoBackend)> = Discipline::ALL
+        .into_iter()
+        .flat_map(|d| PifoBackend::EXACT.map(|backend| (d, backend)))
+        .collect();
+    let measured = bench.measure(&cells, |&(discipline, backend), clock| match discipline {
+        Discipline::PfcLossless => run_lossless(backend, waves, clock),
+        _ => run_drop_based(discipline, backend, &arr, clock),
+    });
+
+    for (&(discipline, backend), m) in cells.iter().zip(&measured) {
+        let r = &m.out;
+        bench.row(
+            Row::new()
+                .field("discipline", discipline.label())
+                .field("backend", backend.label())
+                .field("departed", r.departed)
+                .field("drops", r.drops)
+                .field("pauses", r.pauses)
+                .field("peak_pool", r.peak_pool)
+                .timed(&m.elapsed, r.packets),
+        );
     }
 
     // The sweep's comparative claims, asserted:
     let drops_of = |d: Discipline| -> u64 {
-        results
+        cells
             .iter()
-            .filter(|r| r.discipline == d)
-            .map(|r| r.drops)
+            .zip(&measured)
+            .filter(|((c, _), _)| *c == d)
+            .map(|(_, m)| m.out.drops)
             .sum()
     };
     assert!(
@@ -249,43 +242,5 @@ fn main() {
         "the storm must overwhelm the naive pool"
     );
     assert_eq!(drops_of(Discipline::PfcLossless), 0, "lossless is lossless");
-
-    // Hand-rolled JSON (no serde in the offline workspace).
-    let mut json = String::from("{\n  \"bench\": \"lossless_fabric\",\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"ports\": {PORTS},");
-    let _ = writeln!(json, "  \"pool_capacity\": {POOL_CAPACITY},");
-    let _ = writeln!(json, "  \"xoff\": {XOFF},");
-    let _ = writeln!(json, "  \"xon\": {XON},");
-    let _ = writeln!(json, "  \"headroom\": {HEADROOM},");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"discipline\": \"{}\", \"backend\": \"{}\", \"packets\": {}, \
-             \"departed\": {}, \"drops\": {}, \"pauses\": {}, \"peak_pool\": {}, \
-             \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}}}",
-            r.discipline.label(),
-            r.backend.label(),
-            r.packets,
-            r.departed,
-            r.drops,
-            r.pauses,
-            r.peak_pool,
-            r.elapsed_ns,
-            r.pps()
-        );
-        json.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = std::env::var("BENCH_LOSSLESS_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lossless.json").to_string()
-    });
-    std::fs::write(&out, &json).expect("write BENCH_lossless.json");
-    println!("wrote {out}");
+    bench.write("BENCH_lossless.json");
 }

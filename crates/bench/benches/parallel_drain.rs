@@ -3,14 +3,14 @@
 //! sequentially (`PerPacket`) and with [`DrainMode::Parallel`] at 1, 2,
 //! 4, and 8 workers.
 //!
-//! Every parallel leg's per-port departure traces are cross-checked
-//! byte-identical to the sequential per-packet run before timing — the
-//! sweep measures a drain that is *provably* the same schedule, not a
-//! relaxed one. Results land in `BENCH_parallel.json` (override with
-//! `BENCH_PARALLEL_OUT`); `--smoke` / `BENCH_PARALLEL_SMOKE=1` shrinks
-//! the sweep for CI.
+//! Every leg's per-port departure traces are cross-checked
+//! byte-identical to a sequential per-packet reference run made before
+//! timing — the sweep measures a drain that is *provably* the same
+//! schedule, not a relaxed one. Legs are timed through
+//! [`pifo_bench::measure`]; results land in `BENCH_parallel.json`, and
+//! `--smoke` shrinks the sweep for CI.
 //!
-//! The JSON records `available_parallelism` so the numbers are
+//! The JSON header records `available_parallelism` so the numbers are
 //! interpretable: on a 1-core box the parallel legs can only tie the
 //! sequential drain (worker threads time-slice one core), so the ≥2×
 //! speedup check is asserted only when ≥4 cores are actually available
@@ -18,10 +18,9 @@
 //! thread startup).
 
 use pifo_algos::Stfq;
+use pifo_bench::measure::{Bench, Row};
 use pifo_core::prelude::*;
 use pifo_sim::switch::{DrainMode, SwitchBuilder, SwitchRun};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 const PORTS: usize = 16;
 /// Incast fan-in per port: 16 flows converge on every output port.
@@ -69,41 +68,6 @@ fn build_switch() -> pifo_sim::Switch {
     sb.build(Box::new(classify))
 }
 
-struct Record {
-    drain: String,
-    workers: Option<usize>,
-    packets: u64,
-    elapsed_ns: u128,
-}
-
-impl Record {
-    fn pps(&self) -> f64 {
-        self.packets as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
-}
-
-fn run_mode(mode: DrainMode, arr: &[Packet]) -> (Record, SwitchRun) {
-    let mut sw = build_switch();
-    let start = Instant::now();
-    let run = sw.run(arr, mode);
-    let elapsed_ns = start.elapsed().as_nanos();
-    let handled = run.total_departures() as u64 + run.total_drops() + run.misrouted;
-    assert_eq!(handled, arr.len() as u64, "every packet accounted");
-    let (drain, workers) = match mode {
-        DrainMode::Parallel { workers } => ("parallel".to_string(), Some(workers)),
-        other => (other.label().to_string(), None),
-    };
-    (
-        Record {
-            drain,
-            workers,
-            packets: handled,
-            elapsed_ns,
-        },
-        run,
-    )
-}
-
 fn assert_same_schedule(label: &str, reference: &SwitchRun, candidate: &SwitchRun) {
     for (port, (a, b)) in reference.ports.iter().zip(&candidate.ports).enumerate() {
         assert_eq!(a.drops, b.drops, "[{label}] port {port} drops diverge");
@@ -115,87 +79,61 @@ fn assert_same_schedule(label: &str, reference: &SwitchRun, candidate: &SwitchRu
 }
 
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_PARALLEL_SMOKE");
+    let mut bench = Bench::from_args("parallel_drain");
+    bench.config("ports", PORTS);
+    bench.config("fan_in", FANIN);
 
     // Full mode: ~1.3 M packets (5 000 waves x 16 ports x 16 fan-in).
     // Smoke: ~5 K.
-    let waves: u64 = if smoke { 20 } else { 5_000 };
+    let waves: u64 = if bench.smoke() { 20 } else { 5_000 };
     let arr = arrivals(waves);
+    bench.config("waves", waves);
+    bench.config("arrival_packets", arr.len());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "parallel_drain: {} arrival packets ({} waves x {PORTS} ports x {FANIN} fan-in), \
-         {} mode, {} core(s) available",
-        arr.len(),
-        waves,
-        if smoke { "smoke" } else { "full" },
-        cores,
-    );
 
-    let mut results: Vec<Record> = Vec::new();
+    let reference = build_switch().run(&arr, DrainMode::PerPacket);
+    let modes: Vec<DrainMode> = std::iter::once(DrainMode::PerPacket)
+        .chain([1, 2, 4, 8].map(|workers| DrainMode::Parallel { workers }))
+        .collect();
+    let measured = bench.measure(&modes, |&mode, clock| {
+        let mut sw = build_switch();
+        let run = clock.time(|| sw.run(&arr, mode));
+        let handled = run.total_departures() as u64 + run.total_drops() + run.misrouted;
+        assert_eq!(handled, arr.len() as u64, "every packet accounted");
+        assert_same_schedule(mode.label(), &reference, &run);
+        handled
+    });
 
-    let (per_packet, reference) = run_mode(DrainMode::PerPacket, &arr);
-    let baseline_pps = per_packet.pps();
-    println!("parallel_drain drain=per_packet          {baseline_pps:>12.0} pkts/s  (baseline)");
-    results.push(per_packet);
-
+    let baseline_pps = measured[0].elapsed.per_sec(measured[0].out);
     let mut speedup_at_4 = 0.0f64;
-    for workers in [1usize, 2, 4, 8] {
-        let (r, run) = run_mode(DrainMode::Parallel { workers }, &arr);
-        assert_same_schedule(&format!("parallel-w{workers}"), &reference, &run);
-        let speedup = r.pps() / baseline_pps;
-        if workers == 4 {
+    for (&mode, m) in modes.iter().zip(&measured) {
+        let pps = m.elapsed.per_sec(m.out);
+        let speedup = pps / baseline_pps;
+        let workers = match mode {
+            DrainMode::Parallel { workers } => Some(workers),
+            DrainMode::PerPacket => None,
+        };
+        if workers == Some(4) {
             speedup_at_4 = speedup;
         }
-        println!(
-            "parallel_drain drain=parallel workers={workers:<2} {:>12.0} pkts/s  ({speedup:.2}x per-packet)",
-            r.pps(),
+        bench.row(
+            Row::new()
+                .field("drain", mode.label())
+                .field("workers", workers)
+                .timed(&m.elapsed, m.out)
+                .num("speedup_vs_per_packet", speedup, 3),
         );
-        results.push(r);
     }
 
     // The acceptance check needs real cores under the workers and a
     // workload large enough to amortise thread startup; on fewer than 4
     // cores (or in smoke mode) the numbers are still recorded but not
     // asserted.
-    if !smoke && cores >= 4 {
+    if !bench.smoke() && cores >= 4 {
         assert!(
             speedup_at_4 >= 2.0,
             "expected >= 2x per-packet throughput at 4 workers on {cores} cores, got {speedup_at_4:.2}x"
         );
     }
-
-    // Hand-rolled JSON (no serde in the offline workspace).
-    let mut json = String::from("{\n  \"bench\": \"parallel_drain\",\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"ports\": {PORTS},");
-    let _ = writeln!(json, "  \"fan_in\": {FANIN},");
-    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let workers = r
-            .workers
-            .map_or_else(|| "null".to_string(), |w| w.to_string());
-        let _ = write!(
-            json,
-            "    {{\"drain\": \"{}\", \"workers\": {workers}, \"packets\": {}, \
-             \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}, \"speedup_vs_per_packet\": {:.3}}}",
-            r.drain,
-            r.packets,
-            r.elapsed_ns,
-            r.pps(),
-            r.pps() / baseline_pps,
-        );
-        json.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = std::env::var("BENCH_PARALLEL_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json").to_string()
-    });
-    std::fs::write(&out, &json).expect("write BENCH_parallel.json");
-    println!("wrote {out}");
+    bench.write("BENCH_parallel.json");
 }

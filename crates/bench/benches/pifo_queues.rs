@@ -1,14 +1,17 @@
 //! PIFO data-structure benchmarks: every registered software backend
-//! (sorted-array reference, binary heap, FFS bucket calendar) vs the
-//! hardware-style block, across occupancies up to the Trident-scale
-//! 60 K elements of §5.1. The sweep runs each backend through the
-//! [`PifoBackend::make`] path — the same statically dispatched
-//! [`EnumPifo`] the scheduling tree stores per node — so the numbers
-//! reflect what trees actually pay.
+//! (sorted-array reference, binary heap, FFS bucket calendar and the
+//! approximate family), fill-then-drain of uniform ranks at occupancies
+//! up to the Trident-scale 60 K elements of §5.1. The sweep runs each
+//! backend through the [`PifoBackend::make`] path — the same statically
+//! dispatched [`EnumPifo`] the scheduling tree stores per node — so the
+//! numbers reflect what trees actually pay.
+//!
+//! Cells are timed through [`pifo_bench::measure`] (the rank stream is
+//! generated untimed); results land in `BENCH_queues.json`, and
+//! `--smoke` drops the 60 K occupancy.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pifo_bench::measure::{Bench, Row};
 use pifo_core::prelude::*;
-use pifo_hw::{BlockConfig, LogicalPifoId, PifoBlock};
 
 /// Deterministic xorshift for rank streams.
 struct Rng(u64);
@@ -21,61 +24,42 @@ impl Rng {
     }
 }
 
-fn bench_push_pop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pifo_push_pop");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    for &n in &[1_000usize, 10_000, 60_000] {
-        group.throughput(Throughput::Elements(n as u64));
-        for backend in PifoBackend::ALL {
-            group.bench_with_input(BenchmarkId::new(backend.label(), n), &n, |b, &n| {
-                b.iter(|| {
-                    let mut q: EnumPifo<u64> = backend.make();
-                    let mut rng = Rng(42);
-                    for i in 0..n as u64 {
-                        q.push(Rank(rng.next() % 1_000_000), i);
-                    }
-                    while let Some(e) = q.pop() {
-                        black_box(e);
-                    }
-                })
-            });
-        }
-    }
-    group.finish();
-}
+fn main() {
+    let mut bench = Bench::from_args("pifo_queues");
+    let occupancies: &[usize] = if bench.smoke() {
+        &[1_000, 10_000]
+    } else {
+        &[1_000, 10_000, 60_000]
+    };
+    let mut rng = Rng(42);
+    let streams: Vec<Vec<u64>> = occupancies
+        .iter()
+        .map(|&n| (0..n).map(|_| rng.next() % 1_000_000).collect())
+        .collect();
+    let cells: Vec<(&[u64], PifoBackend)> = streams
+        .iter()
+        .flat_map(|ranks| PifoBackend::ALL.map(|backend| (ranks.as_slice(), backend)))
+        .collect();
 
-/// The §5.2 scaling argument measured: pushing 60 K elements through the
-/// hardware block only ever sorts ~1 K flow heads.
-fn bench_hw_block(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hw_block_60k");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    for &flows in &[256u32, 1_024] {
-        group.throughput(Throughput::Elements(60_000));
-        group.bench_with_input(BenchmarkId::new("flows", flows), &flows, |b, &flows| {
-            b.iter(|| {
-                let mut blk = PifoBlock::new(BlockConfig {
-                    n_flows: flows as usize,
-                    ..BlockConfig::default()
-                });
-                let l = LogicalPifoId(0);
-                let mut rng = Rng(7);
-                let mut next = vec![0u64; flows as usize];
-                for i in 0..60_000u64 {
-                    let f = (rng.next() % flows as u64) as u32;
-                    next[f as usize] += 1 + rng.next() % 16;
-                    blk.enqueue(l, FlowId(f), Rank(next[f as usize] * 4096 + f as u64), i)
-                        .expect("capacity");
-                }
-                while let Some(e) = blk.dequeue(l) {
-                    black_box(e);
-                }
-            })
+    let measured = bench.measure(&cells, |&(ranks, backend), clock| {
+        let mut q: EnumPifo<u64> = backend.make();
+        let popped = clock.time(|| {
+            for (i, &r) in ranks.iter().enumerate() {
+                q.push(Rank(r), i as u64);
+            }
+            std::iter::from_fn(|| q.pop()).count()
         });
-    }
-    group.finish();
-}
+        assert_eq!(popped, ranks.len(), "{backend}: every element pops");
+        popped as u64
+    });
 
-criterion_group!(benches, bench_push_pop, bench_hw_block);
-criterion_main!(benches);
+    for (&(ranks, backend), m) in cells.iter().zip(&measured) {
+        bench.row(
+            Row::new()
+                .field("backend", backend.to_string())
+                .field("occupancy", ranks.len())
+                .timed(&m.elapsed, m.out),
+        );
+    }
+    bench.write("BENCH_queues.json");
+}

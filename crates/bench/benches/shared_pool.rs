@@ -12,16 +12,14 @@
 //!   thresholds (`alpha = 1`): the storm is fenced to a fraction of the
 //!   pool and victim drops return to zero.
 //!
-//! Every configuration drains with `DrainMode::PerPacket`. Results land
-//! in `BENCH_pool.json` (override with
-//! `BENCH_POOL_OUT`); `--smoke` / `BENCH_POOL_SMOKE=1` shrinks the sweep
-//! for CI.
+//! Every configuration drains with `DrainMode::PerPacket`, timed through
+//! [`pifo_bench::measure`]. Results land in `BENCH_pool.json`; `--smoke`
+//! shrinks the sweep for CI.
 
 use pifo_algos::Stfq;
+use pifo_bench::measure::{Bench, Row};
 use pifo_core::prelude::*;
 use pifo_sim::switch::{DrainMode, SwitchBuilder};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 const PORTS: usize = 16;
 const POOL_CAPACITY: usize = 1_024;
@@ -48,19 +46,11 @@ impl Config {
     }
 }
 
-struct Record {
-    config: Config,
-    backend: PifoBackend,
+/// What one run of a cell moved and dropped.
+struct Outcome {
     packets: u64,
     hog_drops: u64,
     victim_drops: u64,
-    elapsed_ns: u128,
-}
-
-impl Record {
-    fn pps(&self) -> f64 {
-        self.packets as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
 }
 
 /// The storm + victims workload: `waves` incast waves of 1 024 packets
@@ -139,57 +129,54 @@ fn build_switch(config: Config, backend: PifoBackend) -> pifo_sim::Switch {
     sb.build(Box::new(classify))
 }
 
-fn run_config(config: Config, backend: PifoBackend, arr: &[Packet]) -> Record {
-    let mut sw = build_switch(config, backend);
-    let start = Instant::now();
-    let run = sw.run(arr, DrainMode::PerPacket);
-    let elapsed_ns = start.elapsed().as_nanos();
-    let handled = run.total_departures() as u64 + run.total_drops();
-    assert_eq!(handled, arr.len() as u64, "every packet accounted");
-    Record {
-        config,
-        backend,
-        packets: handled,
-        hog_drops: run.ports[0].drops,
-        victim_drops: run.ports[1..].iter().map(|p| p.drops).sum(),
-        elapsed_ns,
-    }
-}
-
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_POOL_SMOKE");
+    let mut bench = Bench::from_args("shared_pool");
+    bench.config("ports", PORTS);
+    bench.config("pool_capacity", POOL_CAPACITY);
 
     // Full mode: ~1.2 M storm packets (+ victim bursts). Smoke: ~60 K.
-    let waves: u64 = if smoke { 58 } else { 1_200 };
+    let waves: u64 = if bench.smoke() { 58 } else { 1_200 };
     let arr = arrivals(waves);
-    println!(
-        "shared_pool: {} arrival packets ({} waves x {WAVE_PKTS} + victim bursts), {} mode",
-        arr.len(),
-        waves,
-        if smoke { "smoke" } else { "full" }
-    );
+    bench.config("waves", waves);
+    bench.config("arrival_packets", arr.len());
 
-    let mut results: Vec<Record> = Vec::new();
-    for config in Config::ALL {
-        for backend in PifoBackend::ALL {
-            let r = run_config(config, backend, &arr);
-            println!(
-                "shared_pool {:<15} backend={:<8} {:>12.0} pkts/s  hog_drops={:<8} victim_drops={}",
-                r.config.label(),
-                r.backend.label(),
-                r.pps(),
-                r.hog_drops,
-                r.victim_drops,
-            );
-            results.push(r);
+    let cells: Vec<(Config, PifoBackend)> = Config::ALL
+        .into_iter()
+        .flat_map(|config| PifoBackend::ALL.map(|backend| (config, backend)))
+        .collect();
+    let measured = bench.measure(&cells, |&(config, backend), clock| {
+        let mut sw = build_switch(config, backend);
+        let run = clock.time(|| sw.run(&arr, DrainMode::PerPacket));
+        let handled = run.total_departures() as u64 + run.total_drops();
+        assert_eq!(handled, arr.len() as u64, "every packet accounted");
+        Outcome {
+            packets: handled,
+            hog_drops: run.ports[0].drops,
+            victim_drops: run.ports[1..].iter().map(|p| p.drops).sum(),
         }
-        // Admission behaviour is a correctness claim of the sweep, not
-        // just a number: victims must drop under the naive cap and must
-        // not under dynamic thresholds (or private slabs).
-        let victim_drops: u64 = results
+    });
+
+    for (&(config, backend), m) in cells.iter().zip(&measured) {
+        let r = &m.out;
+        bench.row(
+            Row::new()
+                .field("config", config.label())
+                .field("backend", backend.label())
+                .field("hog_drops", r.hog_drops)
+                .field("victim_drops", r.victim_drops)
+                .timed(&m.elapsed, r.packets),
+        );
+    }
+
+    // Admission behaviour is a correctness claim of the sweep, not just
+    // a number: victims must drop under the naive cap and must not under
+    // dynamic thresholds (or private slabs).
+    for config in Config::ALL {
+        let victim_drops: u64 = cells
             .iter()
-            .filter(|r| r.config == config)
-            .map(|r| r.victim_drops)
+            .zip(&measured)
+            .filter(|((c, _), _)| *c == config)
+            .map(|(_, m)| m.out.victim_drops)
             .sum();
         match config {
             Config::SharedNaive => {
@@ -203,38 +190,5 @@ fn main() {
             ),
         }
     }
-
-    // Hand-rolled JSON (no serde in the offline workspace).
-    let mut json = String::from("{\n  \"bench\": \"shared_pool\",\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"ports\": {PORTS},");
-    let _ = writeln!(json, "  \"pool_capacity\": {POOL_CAPACITY},");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"config\": \"{}\", \"backend\": \"{}\", \
-             \"packets\": {}, \"hog_drops\": {}, \"victim_drops\": {}, \
-             \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}}}",
-            r.config.label(),
-            r.backend.label(),
-            r.packets,
-            r.hog_drops,
-            r.victim_drops,
-            r.elapsed_ns,
-            r.pps()
-        );
-        json.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = std::env::var("BENCH_POOL_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pool.json").to_string()
-    });
-    std::fs::write(&out, &json).expect("write BENCH_pool.json");
-    println!("wrote {out}");
+    bench.write("BENCH_pool.json");
 }

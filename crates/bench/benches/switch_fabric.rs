@@ -5,34 +5,26 @@
 //! One arrival stream per traffic pattern (incast, Markov on/off,
 //! heavy-tailed flow workload; 1M+ packets each in full mode) is
 //! classified across 1/4/16 ports and drained with
-//! `DrainMode::PerPacket`. Results land in `BENCH_switch.json` (override
-//! the path with `BENCH_SWITCH_OUT`).
-//!
-//! `--smoke` (or `BENCH_SWITCH_SMOKE=1`) shrinks the sweep for CI.
+//! `DrainMode::PerPacket`, timed through [`pifo_bench::measure`].
+//! Results land in `BENCH_switch.json`; `--smoke` shrinks the sweep for
+//! CI.
 
 use pifo_algos::Stfq;
+use pifo_bench::measure::{Bench, Row};
 use pifo_core::prelude::*;
 use pifo_sim::switch::{DrainMode, SwitchBuilder};
 use pifo_sim::traffic::{
     flow_workload, merge, renumber, IncastSource, MarkovOnOffSource, SizeDistribution,
     TrafficSource,
 };
-use std::fmt::Write as _;
-use std::time::Instant;
 
-/// One measured configuration.
-struct Record {
-    pattern: String,
+/// One measured configuration: a pattern's arrival stream, a port
+/// count and a backend.
+struct Cell<'a> {
+    pattern: &'static str,
+    arrivals: &'a [Packet],
     ports: usize,
     backend: PifoBackend,
-    packets: u64,
-    elapsed_ns: u128,
-}
-
-impl Record {
-    fn pps(&self) -> f64 {
-        self.packets as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
 }
 
 /// A flat single-node STFQ scheduler — the common per-port program.
@@ -99,101 +91,79 @@ fn heavytail_arrivals(target_pkts: usize) -> Vec<Packet> {
     pkts
 }
 
-/// Run and time one fabric configuration.
-fn run_switch_config(
-    pattern: &str,
-    arrivals: &[Packet],
-    ports: usize,
-    backend: PifoBackend,
-) -> Record {
+/// The fabric of one cell: `ports` flat STFQ ports behind a flow-hash
+/// classifier.
+fn build_switch(ports: usize, backend: PifoBackend) -> pifo_sim::Switch {
     let mut sb = SwitchBuilder::new(10_000_000_000);
     for _ in 0..ports {
         sb.add_port(port_tree(backend, 60_000));
     }
     sb.with_burst(64);
-    let mut sw = sb.build(Box::new(move |p: &Packet| p.flow.0 as usize % ports));
-
-    let start = Instant::now();
-    let run = sw.run(arrivals, DrainMode::PerPacket);
-    let elapsed_ns = start.elapsed().as_nanos();
-    let handled = run.total_departures() as u64 + run.total_drops();
-    assert!(handled > 0, "{pattern}: fabric must move packets");
-    Record {
-        pattern: pattern.to_string(),
-        ports,
-        backend,
-        packets: handled,
-        elapsed_ns,
-    }
+    sb.build(Box::new(move |p: &Packet| p.flow.0 as usize % ports))
 }
 
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_SWITCH_SMOKE");
-
-    let (target_pkts, port_counts, patterns): (usize, &[usize], &[&str]) = if smoke {
+    let mut bench = Bench::from_args("switch_fabric");
+    let (target_pkts, port_counts, patterns): (usize, &[usize], &[&str]) = if bench.smoke() {
         (60_000, &[4], &["incast"])
     } else {
         (1_200_000, &[1, 4, 16], &["incast", "onoff", "heavytail"])
     };
 
-    let mut results: Vec<Record> = Vec::new();
+    let streams: Vec<(&'static str, Vec<Packet>)> = patterns
+        .iter()
+        .map(|&pattern| {
+            let arrivals = match pattern {
+                "incast" => incast_arrivals(target_pkts),
+                "onoff" => onoff_arrivals(target_pkts),
+                "heavytail" => heavytail_arrivals(target_pkts),
+                other => unreachable!("unknown pattern {other}"),
+            };
+            if !bench.smoke() {
+                assert!(
+                    arrivals.len() >= 1_000_000,
+                    "{pattern}: full mode must sweep 1M+ packets (got {})",
+                    arrivals.len()
+                );
+            }
+            (pattern, arrivals)
+        })
+        .collect();
+    let sizes = streams.iter().fold(Row::new(), |row, (pattern, arrivals)| {
+        row.field(pattern, arrivals.len())
+    });
+    bench.config("arrival_packets", sizes);
 
     // ---- Fabric sweep: pattern × ports × backend -----------------------
-    for &pattern in patterns {
-        let arrivals = match pattern {
-            "incast" => incast_arrivals(target_pkts),
-            "onoff" => onoff_arrivals(target_pkts),
-            "heavytail" => heavytail_arrivals(target_pkts),
-            other => unreachable!("unknown pattern {other}"),
-        };
-        if !smoke {
-            assert!(
-                arrivals.len() >= 1_000_000,
-                "{pattern}: full mode must sweep 1M+ packets (got {})",
-                arrivals.len()
-            );
-        }
-        println!("pattern {pattern:<10} {} arrival packets", arrivals.len());
+    let mut cells = Vec::new();
+    for (pattern, arrivals) in &streams {
         for &ports in port_counts {
             for backend in PifoBackend::ALL {
-                let r = run_switch_config(pattern, &arrivals, ports, backend);
-                println!(
-                    "switch_fabric {pattern:<10} ports={ports:<3} backend={:<8} {:>12.0} pkts/s",
-                    r.backend.label(),
-                    r.pps()
-                );
-                results.push(r);
+                cells.push(Cell {
+                    pattern,
+                    arrivals,
+                    ports,
+                    backend,
+                });
             }
         }
     }
-
-    // Hand-rolled JSON (no serde in the offline workspace).
-    let mut json = String::from("{\n  \"bench\": \"switch_fabric\",\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"pattern\": \"{}\", \"ports\": {}, \"backend\": \"{}\", \
-             \"packets\": {}, \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}}}",
-            r.pattern,
-            r.ports,
-            r.backend.label(),
-            r.packets,
-            r.elapsed_ns,
-            r.pps()
-        );
-        json.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = std::env::var("BENCH_SWITCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_switch.json").to_string()
+    let measured = bench.measure(&cells, |c, clock| {
+        let mut sw = build_switch(c.ports, c.backend);
+        let run = clock.time(|| sw.run(c.arrivals, DrainMode::PerPacket));
+        let handled = run.total_departures() as u64 + run.total_drops();
+        assert!(handled > 0, "{}: fabric must move packets", c.pattern);
+        handled
     });
-    std::fs::write(&out, &json).expect("write BENCH_switch.json");
-    println!("wrote {out}");
+
+    for (c, m) in cells.iter().zip(&measured) {
+        bench.row(
+            Row::new()
+                .field("pattern", c.pattern)
+                .field("ports", c.ports)
+                .field("backend", c.backend.label())
+                .timed(&m.elapsed, m.out),
+        );
+    }
+    bench.write("BENCH_switch.json");
 }

@@ -1,7 +1,7 @@
 //! End-to-end scheduling-tree hot-path throughput: enqueue → (shape) →
 //! dequeue for every packet, measured as whole-lifetime packets/second.
 //!
-//! Three tree shapes stress different parts of the walk:
+//! Five tree shapes stress different parts of the walk:
 //!
 //! * `hpfq_fig3`   — the paper's Fig 3 HPFQ (2 levels, 4 flows): short
 //!   walks, deep PIFOs.
@@ -10,34 +10,27 @@
 //! * `shaped_tbf`  — Fig 3's shape with a token-bucket shaper on every
 //!   leaf, driven over-rate so a shaping backlog builds up and the
 //!   release path (agenda vs. scan) is on the measured path.
+//! * `flat_wfq`    — one STFQ node, 64 flows: the walk-free baseline.
+//! * `hier_5level` — a chain of five classes ending in one 64-flow leaf:
+//!   the longest walk per packet.
 //!
 //! Each scenario runs at several standing occupancies (fill → churn →
-//! drain); the results are printed and written to `BENCH_tree.json` at
-//! the repo root (override with `BENCH_TREE_OUT`) so CI can archive a
-//! per-PR perf trajectory. `--smoke` (or `BENCH_TREE_SMOKE=1`) skips the
-//! largest occupancy for fast CI runs.
+//! drain) through [`pifo_bench::measure`]; the results are printed and
+//! written to `BENCH_tree.json`. `--smoke` skips the largest occupancy.
 
 use pifo_algos::{fig3_hpfq_with_backend, Hierarchy, Stfq, TokenBucketFilter, WeightTable};
+use pifo_bench::measure::{Bench, Row};
 use pifo_core::prelude::*;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A scenario constructor: backend in, (tree, flow-count) out.
 type BuildFn = fn(PifoBackend) -> (ScheduleTree, u32);
 
 /// One measured configuration.
-struct Measurement {
+struct Cell {
     scenario: &'static str,
+    build: BuildFn,
     backend: PifoBackend,
     occupancy: usize,
-    packets: u64,
-    elapsed_ns: u128,
-}
-
-impl Measurement {
-    fn pps(&self) -> f64 {
-        self.packets as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
 }
 
 fn fig3(backend: PifoBackend) -> (ScheduleTree, u32) {
@@ -109,23 +102,31 @@ fn shaped_tbf(backend: PifoBackend) -> (ScheduleTree, u32) {
     (tree, 4)
 }
 
+fn flat_wfq(backend: PifoBackend) -> (ScheduleTree, u32) {
+    let mut b = TreeBuilder::new();
+    b.with_backend(backend);
+    let root = b.add_root("wfq", Box::new(Stfq::new(WeightTable::new())));
+    (b.build(Box::new(move |_| root)).expect("valid"), 64)
+}
+
+fn hier_5level(backend: PifoBackend) -> (ScheduleTree, u32) {
+    let mut h = Hierarchy::leaf("L5", (0..64u32).map(|f| (FlowId(f), 1u64)).collect());
+    for lvl in (1..5).rev() {
+        h = Hierarchy::class(&format!("L{lvl}"), vec![(1, h)]);
+    }
+    let (tree, _) = h.build_with_backend(backend);
+    (tree, 64)
+}
+
 /// Fill to `occupancy`, churn `churn` enqueue+dequeue pairs at that
-/// standing occupancy, then drain. Returns total packets pushed through
-/// and the wall-clock time for the whole lifetime.
-fn run_one(
-    scenario: &'static str,
-    backend: PifoBackend,
-    build: BuildFn,
-    occupancy: usize,
-    churn: usize,
-) -> Measurement {
-    let (mut tree, nflows) = build(backend);
+/// standing occupancy, then drain. Returns the packets pushed through
+/// and the packets the final drain took out.
+fn lifetime(tree: &mut ScheduleTree, nflows: u32, occupancy: usize, churn: usize) -> (u64, u64) {
     let mut id = 0u64;
     let mut t = 0u64;
     // 10 ns between arrivals: over-rate for the shaped scenario,
     // irrelevant for the others.
     const GAP: u64 = 10;
-    let start = Instant::now();
     for _ in 0..occupancy {
         tree.enqueue(
             Packet::new(id, FlowId((id % nflows as u64) as u32), 1_000, Nanos(t)),
@@ -158,26 +159,12 @@ fn run_one(
             },
         }
     }
-    let elapsed_ns = start.elapsed().as_nanos();
-    assert!(
-        tree.is_empty() && tree.shaped_len() == 0,
-        "{scenario}/{backend}: tree must drain (left {} buffered, {} shaped)",
-        tree.len(),
-        tree.shaped_len()
-    );
-    assert!(drained > 0);
-    Measurement {
-        scenario,
-        backend,
-        occupancy,
-        packets: id,
-        elapsed_ns,
-    }
+    (id, drained)
 }
 
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_TREE_SMOKE");
-    let occupancies: &[usize] = if smoke {
+    let mut bench = Bench::from_args("tree_hotpath");
+    let occupancies: &[usize] = if bench.smoke() {
         &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 60_000]
@@ -186,61 +173,54 @@ fn main() {
         ("hpfq_fig3", fig3),
         ("wide_256", wide_256),
         ("shaped_tbf", shaped_tbf),
+        ("flat_wfq", flat_wfq),
+        ("hier_5level", hier_5level),
     ];
 
-    let mut results = Vec::new();
-    for &(name, build) in scenarios {
-        for &occ in occupancies {
-            let churn = occ.min(10_000);
-            let r = run_one(name, PifoBackend::SortedArray, build, occ, churn);
-            println!(
-                "tree_hotpath {name:<12} backend={:<6} occ={occ:<6} {:>12.0} pkts/s",
-                r.backend.label(),
-                r.pps()
-            );
-            results.push(r);
+    let mut cells = Vec::new();
+    for &(scenario, build) in scenarios {
+        for &occupancy in occupancies {
+            cells.push(Cell {
+                scenario,
+                build,
+                backend: PifoBackend::SortedArray,
+                occupancy,
+            });
         }
     }
     // Backend sweep at the headline occupancy for the headline scenario.
     for backend in [PifoBackend::Heap, PifoBackend::Bucket] {
-        let r = run_one("hpfq_fig3", backend, fig3, 10_000, 10_000);
-        println!(
-            "tree_hotpath {:<12} backend={:<6} occ={:<6} {:>12.0} pkts/s",
-            r.scenario,
-            r.backend.label(),
-            r.occupancy,
-            r.pps()
-        );
-        results.push(r);
+        cells.push(Cell {
+            scenario: "hpfq_fig3",
+            build: fig3,
+            backend,
+            occupancy: 10_000,
+        });
     }
 
-    // Hand-rolled JSON (no serde in the offline workspace).
-    let mut json = String::from("{\n  \"bench\": \"tree_hotpath\",\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"occupancy\": {}, \
-             \"packets\": {}, \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}}}",
-            r.scenario,
-            r.backend.label(),
-            r.occupancy,
-            r.packets,
-            r.elapsed_ns,
-            r.pps()
+    let measured = bench.measure(&cells, |c, clock| {
+        let (mut tree, nflows) = (c.build)(c.backend);
+        let churn = c.occupancy.min(10_000);
+        let (packets, drained) = clock.time(|| lifetime(&mut tree, nflows, c.occupancy, churn));
+        assert!(
+            tree.is_empty() && tree.shaped_len() == 0,
+            "{}/{}: tree must drain (left {} buffered, {} shaped)",
+            c.scenario,
+            c.backend,
+            tree.len(),
+            tree.shaped_len()
         );
-        json.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = std::env::var("BENCH_TREE_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tree.json").to_string()
+        assert!(drained > 0);
+        packets
     });
-    std::fs::write(&out, &json).expect("write BENCH_tree.json");
-    println!("wrote {out}");
+    for (c, m) in cells.iter().zip(&measured) {
+        bench.row(
+            Row::new()
+                .field("scenario", c.scenario)
+                .field("backend", c.backend.label())
+                .field("occupancy", c.occupancy)
+                .timed(&m.elapsed, m.out),
+        );
+    }
+    bench.write("BENCH_tree.json");
 }

@@ -13,6 +13,7 @@
 
 use pifo_bench::cli;
 use pifo_bench::experiments::{registry, run, set_backend};
+use std::io::{ErrorKind, Write};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,9 +102,17 @@ fn main() {
     for id in &ids {
         match run(id) {
             Some(report) => {
-                println!("================================================================");
-                println!("[pifo backend: {backend}]");
-                println!("{report}");
+                let out = writeln!(
+                    std::io::stdout().lock(),
+                    "{}\n[pifo backend: {backend}]\n{report}",
+                    "=".repeat(64)
+                );
+                // A reader that went away (`repro ... | head`) is a
+                // normal, quiet end of output.
+                match out {
+                    Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+                    out => out.expect("write to stdout"),
+                }
             }
             None => {
                 eprintln!("unknown experiment '{id}' (try `repro list`)");

@@ -1,14 +1,14 @@
-//! The one command-line parser every pifo-bench entry point shares.
+//! The `repro` binary's command-line parser.
 //!
-//! The `repro` binary and the Criterion-style bench mains all accept the
-//! same two knobs — a PIFO engine selector and a CI smoke switch — and
-//! routing them through this module keeps the accepted spellings and the
-//! error text identical everywhere. In particular there is exactly one
-//! place that knows how to turn a `--backend` value into a
-//! [`PifoBackend`]: the enum's `FromStr` impl via [`extract_backend`],
-//! so a new backend variant (or a parameterised one like `sp-pifo:4`)
-//! becomes available to every binary the moment the enum learns it — no
-//! per-binary match arms to drift out of sync.
+//! Routing the PIFO engine selector and the experiment flags through
+//! this module keeps the accepted spellings and the error text in one
+//! place. In particular there is exactly one place that knows how to
+//! turn a `--backend` value into a [`PifoBackend`]: the enum's `FromStr`
+//! impl via [`extract_backend`], so a new backend variant (or a
+//! parameterised one like `sp-pifo:4`) is accepted the moment the enum
+//! learns it — no match arms to drift out of sync. (The bench targets'
+//! one switch, `--smoke`, is read by
+//! [`Bench::from_args`](crate::measure::Bench::from_args).)
 
 use pifo_core::pifo::{PifoBackend, BACKEND_NAMES};
 
@@ -46,13 +46,6 @@ pub fn extract_backend(args: &mut Vec<String>) -> Result<Option<PifoBackend>, St
 /// parser accepts.
 pub fn backend_usage() -> String {
     format!("[--backend <{BACKEND_NAMES}>]")
-}
-
-/// True when the invocation asks for the CI smoke scale: `--smoke` on
-/// the command line or `env_var=1` in the environment. Every bench main
-/// consults this instead of probing `std::env` itself.
-pub fn smoke_flag(env_var: &str) -> bool {
-    std::env::args().any(|a| a == "--smoke") || std::env::var(env_var).is_ok_and(|v| v == "1")
 }
 
 /// Pull a boolean `flag` (e.g. `"--lossless"`) out of `args`, removing

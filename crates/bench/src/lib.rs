@@ -1,6 +1,7 @@
 //! # pifo-bench
 //!
-//! Experiment drivers (`repro` binary) and Criterion benchmarks.
+//! Experiment drivers (`repro` binary) and the bench harness
+//! ([`measure`]) every target under `benches/` runs on.
 //!
 //! Every table and figure of the paper has a regenerator here — run
 //! `cargo run -p pifo-bench --bin repro --release -- list` for the
@@ -13,3 +14,4 @@
 
 pub mod cli;
 pub mod experiments;
+pub mod measure;

@@ -114,8 +114,9 @@ pub fn latency_stats(samples: &[u64]) -> Option<LatencyStats> {
 
 /// Index of the p-th percentile in a sorted array of `n` samples:
 /// nearest-rank `⌈(p/100)·n⌉`, 1-based, clamped to `[1, n]`, returned
-/// 0-based.
-fn percentile_index(n: usize, p: f64) -> usize {
+/// 0-based. The one percentile rule of the workspace: [`latency_stats`]
+/// and the bench harness's elapsed-time quartiles both use it.
+pub fn percentile_index(n: usize, p: f64) -> usize {
     let rank = ((p / 100.0) * n as f64).ceil() as usize;
     rank.clamp(1, n) - 1
 }

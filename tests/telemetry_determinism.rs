@@ -5,7 +5,9 @@
 //!    exact backend × every drain mode.
 //! 2. **Deterministic** — two identically-built runs produce
 //!    byte-identical event streams and snapshots, and the event stream
-//!    is invariant across `PerPacket`/`Parallel` drains.
+//!    is invariant across `PerPacket`/`Parallel` drains — on shared-pool
+//!    fabrics (where `Parallel` runs the sequential drain) and on
+//!    private-slab fabrics (where it drains on worker threads).
 //! 3. **Reconciles** — telemetry-derived waits equal the
 //!    departure-derived waits of [`waits_of`](pifo::sim::metrics), and
 //!    the same holds through `latency_stats` percentiles.
@@ -70,6 +72,22 @@ fn build_switch(
             let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
             b.build_in_pool(Box::new(move |_| root), h).expect("tree")
         });
+    }
+    sb.build(Box::new(move |p: &Packet| p.flow.0 as usize % ports))
+}
+
+/// The same fabric with a private 64-slot slab per port: the fabric
+/// `DrainMode::Parallel` really drains on worker threads.
+fn build_private_switch(ports: usize, backend: PifoBackend, telemetry: TelemetryConfig) -> Switch {
+    let mut sb = SwitchBuilder::new(RATE_BPS);
+    sb.with_burst(8);
+    sb.with_telemetry(telemetry);
+    for _ in 0..ports {
+        let mut b = TreeBuilder::new();
+        b.with_backend(backend);
+        b.buffer_limit(64);
+        let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
+        sb.add_port(b.build(Box::new(move |_| root)).expect("tree"));
     }
     sb.build(Box::new(move |p: &Packet| p.flow.0 as usize % ports))
 }
@@ -140,6 +158,30 @@ proptest! {
                         }
                     }
                 }
+            }
+
+            // 2c: on private slabs `Parallel` drains on worker threads;
+            // its snapshot (events, counts, gauges) and per-port path
+            // records must equal the per-packet drain's.
+            let private = |mode| {
+                let mut sw = build_private_switch(ports, backend, cfg);
+                let run = sw.run(&arr, mode);
+                let snap = sw.telemetry_snapshot(&run).expect("telemetry on");
+                (snap, run)
+            };
+            let (seq_snap, seq_run) = private(DrainMode::PerPacket);
+            let (par_snap, par_run) = private(DrainMode::Parallel { workers: 2 });
+            if seq_snap != par_snap {
+                dump_snapshot(&format!("private-per-packet-{}", backend.label()), &seq_snap);
+                dump_snapshot(&format!("private-parallel-{}", backend.label()), &par_snap);
+                prop_assert!(false,
+                    "[{}] private-slab parallel snapshot differs from the per-packet drain",
+                    backend);
+            }
+            for (port, (a, b)) in seq_run.ports.iter().zip(&par_run.ports).enumerate() {
+                prop_assert_eq!(&a.paths, &b.paths,
+                    "[{}] port {} path records differ under the parallel drain", backend, port);
+                prop_assert_eq!(&a.departures, &b.departures);
             }
         }
     }

@@ -35,10 +35,12 @@
 //!
 //! # Determinism
 //!
-//! The driver executes one global event loop in `(time, kind, index)`
-//! order — control-frame deliveries before emissions before scheduling
-//! rounds at equal instants — and each round calls the same round
-//! engine as [`Switch`] (`burst` dequeues decided at the round time,
+//! The driver executes one global event loop over one ordered queue of
+//! `(time, event)` entries. The event type's derived order is the
+//! loop's `(time, kind, index)` order — control-frame deliveries before
+//! emissions before scheduling rounds at equal instants, index-ordered
+//! within a kind — and each round calls the same round engine as
+//! [`Switch`] (`burst` dequeues decided at the round time,
 //! back-to-back transmit at the port's rate, path records), after the
 //! driver's own skid admission at each packet's arrival instant. All
 //! decisions read tree/pool state that is identical across the exact
@@ -64,7 +66,8 @@ use crate::switch::{DrainMode, Switch, SwitchRun};
 use crate::traffic::TrafficSource;
 use pifo_core::prelude::*;
 use pifo_core::telemetry::NO_NODE;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -410,16 +413,19 @@ impl LosslessRun {
 // The driver
 // ---------------------------------------------------------------------------
 
-/// A pause/resume control frame in flight from the switch to the
-/// sources. Ordered by `(deliver, seq)` for the deterministic frame
-/// queue.
+/// One entry of the driver's event queue. Paired with its time as
+/// `(Nanos, Event)`, the derived order is the loop's `(time, kind,
+/// index)` order: control-frame deliveries before emissions before
+/// scheduling rounds at equal instants, index-ordered within a kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Frame {
-    deliver: Nanos,
-    seq: u64,
-    port: usize,
-    class: u8,
-    action: PauseAction,
+enum Event {
+    /// The control frame of pause-log entry `k` reaches the sources
+    /// (frames are issued in log order).
+    Frame(usize),
+    /// A source emits its head packet.
+    Emit(usize),
+    /// A port runs a scheduling round.
+    Round(usize),
 }
 
 /// Per-`(port, class)` pressure and pause state.
@@ -431,6 +437,9 @@ struct ClassState {
     skid: usize,
     /// Switch-side pause assertion time, when asserted.
     paused_since: Option<Nanos>,
+    /// True while a delivered pause frame covers this pair at the
+    /// sources (the source-side view, `wire_delay` behind the switch).
+    visible: bool,
 }
 
 /// Per-port driver state (the tree itself stays in the switch, borrowed
@@ -471,6 +480,35 @@ struct SourceState {
     /// packets stamped earlier are in-flight work released now.
     gate: Nanos,
     stats: SourcePauseStats,
+}
+
+impl SourceState {
+    /// When the head packet may be emitted: `None` while blocked or
+    /// exhausted.
+    fn emit_at(&self) -> Option<Nanos> {
+        match &self.next {
+            Some(p) if !self.blocked => Some(p.arrival.max(self.gate)),
+            _ => None,
+        }
+    }
+
+    /// A pause covering the head's target reached this source at `now`.
+    fn block(&mut self, now: Nanos) {
+        self.blocked = true;
+        self.blocked_since = now;
+        self.stats.pauses += 1;
+        self.src.pause(now);
+    }
+
+    /// The pause ends at `now`: account its duration. The caller decides
+    /// whether the source itself hears a resume.
+    fn unblock(&mut self, now: Nanos) {
+        self.blocked = false;
+        let dur = now.saturating_sub(self.blocked_since);
+        self.stats.resumes += 1;
+        self.stats.total_paused += dur;
+        self.stats.max_pause = self.stats.max_pause.max(dur);
+    }
 }
 
 /// Packets currently resident across the fabric's buffers: the shared
@@ -520,10 +558,14 @@ impl LosslessFabric {
     /// for packets — and every decision happens in one deterministic
     /// global `(time, kind, index)` event order: control-frame
     /// deliveries, then emissions, then scheduling rounds at equal
-    /// times, index-ordered within a kind. Every [`DrainMode`] runs this
-    /// one sequential loop ([`DrainMode::Parallel`] included — the pause
-    /// wire couples every port, see the module docs), so traces and
-    /// pause logs are identical in both modes.
+    /// times, index-ordered within a kind. That order is the derived
+    /// order of the queue's `(time, event)` entries. An entry is pushed
+    /// whenever a source's emission time or a port's next round moves;
+    /// one whose key has moved on since is skipped when popped, so the
+    /// first live entry is always the next event. Every [`DrainMode`]
+    /// runs this one sequential loop ([`DrainMode::Parallel`] included
+    /// — the pause wire couples every port, see the module docs), so
+    /// traces and pause logs are identical in both modes.
     pub fn run_with_faults(
         &mut self,
         sources: Vec<Box<dyn TrafficSource>>,
@@ -532,6 +574,9 @@ impl LosslessFabric {
     ) -> LosslessRun {
         let n = self.switch.ports.len();
         let (xoff, xon) = (self.cfg.watermarks.xoff, self.cfg.watermarks.xon);
+        // Resume frames alone carry the injected delay.
+        let pause_delay = self.cfg.wire_delay;
+        let resume_delay = pause_delay + faults.resume_delay;
 
         let dead = |i: usize| faults.dead_ports.contains(&i);
         let stuck = |now: Nanos| faults.stuck_pool_at.is_some_and(|t| now >= t);
@@ -582,9 +627,15 @@ impl LosslessFabric {
             })
             .collect();
 
-        let mut frames: BinaryHeap<std::cmp::Reverse<Frame>> = BinaryHeap::new();
-        let mut frame_seq = 0u64;
-        let mut visible: HashSet<(usize, u8)> = HashSet::new();
+        // The one event queue, seeded with the first emissions.
+        let mut events: BinaryHeap<Reverse<(Nanos, Event)>> = srcs
+            .iter()
+            .enumerate()
+            .filter_map(|(si, s)| Some(Reverse((s.emit_at()?, Event::Emit(si)))))
+            .collect();
+        // Asserted switch-side pauses as `(since, port, class)`: the
+        // watchdog reads the oldest, the gauge the count.
+        let mut paused: BTreeSet<(Nanos, usize, u8)> = BTreeSet::new();
         let mut pause_events: Vec<PauseEvent> = Vec::new();
         let mut misrouted = 0u64;
         let mut skid_overflow = 0u64;
@@ -611,100 +662,52 @@ impl LosslessFabric {
                 let ps = &mut ports[i];
                 for (&class, cs) in ps.classes.iter_mut() {
                     let pressure = cs.occ + cs.skid;
-                    match cs.paused_since {
+                    let (action, delay) = match cs.paused_since {
                         None if pressure >= xoff || !pool_ok => {
                             cs.paused_since = Some(now);
-                            pause_events.push(PauseEvent {
-                                time: now,
-                                port: i,
-                                class,
-                                action: PauseAction::Pause,
-                            });
-                            frames.push(std::cmp::Reverse(Frame {
-                                deliver: now + self.cfg.wire_delay,
-                                seq: frame_seq,
-                                port: i,
-                                class,
-                                action: PauseAction::Pause,
-                            }));
-                            frame_seq += 1;
+                            paused.insert((now, i, class));
+                            (PauseAction::Pause, pause_delay)
                         }
                         Some(since) if pressure <= xon && pool_ok => {
                             cs.paused_since = None;
+                            paused.remove(&(since, i, class));
                             ps.paused_total += now.saturating_sub(since);
-                            pause_events.push(PauseEvent {
-                                time: now,
-                                port: i,
-                                class,
-                                action: PauseAction::Resume,
-                            });
-                            frames.push(std::cmp::Reverse(Frame {
-                                deliver: now + self.cfg.wire_delay + faults.resume_delay,
-                                seq: frame_seq,
-                                port: i,
-                                class,
-                                action: PauseAction::Resume,
-                            }));
-                            frame_seq += 1;
+                            (PauseAction::Resume, resume_delay)
                         }
-                        _ => {}
-                    }
+                        _ => continue,
+                    };
+                    let frame = Event::Frame(pause_events.len());
+                    events.push(Reverse((now + delay, frame)));
+                    pause_events.push(PauseEvent {
+                        time: now,
+                        port: i,
+                        class,
+                        action,
+                    });
                 }
             }};
         }
 
         loop {
-            // --- choose the next event: (time, kind, index) order ----
-            let next_control = frames.peek().map(|r| r.0.deliver);
-            let mut next_emit: Option<(Nanos, usize)> = None;
-            for (si, s) in srcs.iter().enumerate() {
-                if s.blocked {
-                    continue;
+            // --- the next event: skip stale entries ------------------
+            while let Some(&Reverse((t, ev))) = events.peek() {
+                let live = match ev {
+                    Event::Frame(_) => true,
+                    Event::Emit(si) => srcs[si].emit_at() == Some(t),
+                    // A done port's `t` is `None`.
+                    Event::Round(i) => ports[i].t == Some(t),
+                };
+                if live {
+                    break;
                 }
-                if let Some(p) = &s.next {
-                    let t = p.arrival.max(s.gate);
-                    if next_emit.map_or(true, |(bt, _)| t < bt) {
-                        next_emit = Some((t, si));
-                    }
-                }
+                events.pop();
             }
-            let mut next_round: Option<(Nanos, usize)> = None;
-            for (i, ps) in ports.iter().enumerate() {
-                if ps.done {
-                    continue;
-                }
-                if let Some(t) = ps.t {
-                    if next_round.map_or(true, |(bt, _)| t < bt) {
-                        next_round = Some((t, i));
-                    }
-                }
-            }
-            // kind: 0 = control, 1 = emission, 2 = round.
-            let mut pick: Option<(Nanos, u8)> = None;
-            for (t, kind) in [
-                (next_control, 0u8),
-                (next_emit.map(|(t, _)| t), 1),
-                (next_round.map(|(t, _)| t), 2),
-            ] {
-                if let Some(t) = t {
-                    if pick.map_or(true, |(bt, bk)| (t, kind) < (bt, bk)) {
-                        pick = Some((t, kind));
-                    }
-                }
-            }
+            let next = events.peek().map(|r| r.0);
 
             // --- watchdog: the oldest asserted pause must not outlive
             // max_pause before the next event runs --------------------
-            let oldest_pause = ports
-                .iter()
-                .enumerate()
-                .flat_map(|(i, ps)| {
-                    ps.classes
-                        .values()
-                        .filter_map(move |cs| cs.paused_since.map(|s| (s, i)))
-                })
-                .min();
-            if let (Some((since, port)), Some((tev, _))) = (oldest_pause, pick) {
+            let oldest_pause = paused.first().map(|&(since, port, _)| (since, port));
+            if let (Some((since, port)), Some((tev, _))) = (oldest_pause, next) {
                 let deadline = since + self.cfg.max_pause;
                 if tev > deadline {
                     let kind = if dead(port) {
@@ -723,7 +726,7 @@ impl LosslessFabric {
                 }
             }
 
-            let Some((now, kind)) = pick else {
+            let Some((now, ev)) = next else {
                 // Quiescent. Complete drain, or a wait nothing can break?
                 let trapped = srcs.iter().any(|s| s.next.is_some())
                     || ports.iter().enumerate().any(|(i, ps)| {
@@ -760,55 +763,41 @@ impl LosslessFabric {
                 }
                 break;
             };
+            events.pop();
 
-            match kind {
+            match ev {
                 // --- control-frame delivery --------------------------
-                0 => {
-                    let Frame {
-                        port,
-                        class,
-                        action,
-                        ..
-                    } = frames.pop().expect("peeked control frame").0;
-                    match action {
-                        PauseAction::Pause => {
-                            visible.insert((port, class));
-                            for s in srcs.iter_mut() {
-                                if !s.blocked && s.target == Some((port, class)) {
-                                    s.blocked = true;
-                                    s.blocked_since = now;
-                                    s.stats.pauses += 1;
-                                    s.src.pause(now);
-                                }
-                            }
+                Event::Frame(k) => {
+                    let PauseEvent { port, class, .. } = pause_events[k];
+                    let pause = pause_events[k].action == PauseAction::Pause;
+                    let cs = ports[port].classes.get_mut(&class).expect("frame's class");
+                    cs.visible = pause;
+                    for (si, s) in srcs.iter_mut().enumerate() {
+                        if s.blocked == pause || s.target != Some((port, class)) {
+                            continue;
                         }
-                        PauseAction::Resume => {
-                            visible.remove(&(port, class));
-                            for s in srcs.iter_mut() {
-                                if s.blocked && s.target == Some((port, class)) {
-                                    s.blocked = false;
-                                    let dur = now.saturating_sub(s.blocked_since);
-                                    s.stats.resumes += 1;
-                                    s.stats.total_paused += dur;
-                                    s.stats.max_pause = s.stats.max_pause.max(dur);
-                                    s.src.resume(now);
-                                    s.gate = now;
-                                }
+                        if pause {
+                            s.block(now);
+                        } else {
+                            s.unblock(now);
+                            s.src.resume(now);
+                            s.gate = now;
+                            if let Some(t) = s.emit_at() {
+                                events.push(Reverse((t, Event::Emit(si))));
                             }
                         }
                     }
                 }
 
                 // --- emission ----------------------------------------
-                1 => {
-                    let (_, si) = next_emit.expect("picked emission");
+                Event::Emit(si) => {
                     let s = &mut srcs[si];
                     let mut p = s.next.take().expect("eligible emission");
                     let target = s.target.take();
                     // Stamp the true emission instant (a gated release
                     // happens at the gate, not the original stamp) and a
                     // globally unique id.
-                    p.arrival = p.arrival.max(s.gate);
+                    p.arrival = now;
                     p.id = PacketId(next_id);
                     next_id += 1;
 
@@ -853,6 +842,7 @@ impl LosslessFabric {
                             let wake = now.max(ps.busy_until);
                             if !ps.done && ps.t.map_or(true, |t| t > wake) {
                                 ps.t = Some(wake);
+                                events.push(Reverse((wake, Event::Round(i))));
                             }
                             eval_pause!(i, now);
                             // The pool peaks at admission instants (a
@@ -862,23 +852,23 @@ impl LosslessFabric {
                         }
                     }
 
-                    // Pull the next packet and classify it.
+                    // Pull the next packet, classify it, and block at
+                    // once if a delivered pause already covers it.
                     let s = &mut srcs[si];
                     s.next = s.src.next_packet();
                     s.target = s.next.as_ref().and_then(classify);
-                    if let Some(t) = s.target {
-                        if visible.contains(&t) && !s.blocked {
-                            s.blocked = true;
-                            s.blocked_since = now;
-                            s.stats.pauses += 1;
-                            s.src.pause(now);
+                    if let Some((i, class)) = s.target {
+                        if ports[i].classes.get(&class).is_some_and(|c| c.visible) {
+                            s.block(now);
                         }
+                    }
+                    if let Some(t) = s.emit_at() {
+                        events.push(Reverse((t, Event::Emit(si))));
                     }
                 }
 
                 // --- scheduling round --------------------------------
-                _ => {
-                    let (_, i) = next_round.expect("picked round");
+                Event::Round(i) => {
                     rounds += 1;
                     if rounds > self.cfg.round_budget {
                         stall = Some(FabricStall {
@@ -941,6 +931,9 @@ impl LosslessFabric {
                                 .chain(next_ready)
                                 .min()
                                 .filter(|&t| t > now);
+                            if let Some(t) = ps.t {
+                                events.push(Reverse((t, Event::Round(i))));
+                            }
                             now
                         }
                         Some(end) => {
@@ -953,6 +946,7 @@ impl LosslessFabric {
                             }
                             ps.busy_until = end;
                             ps.t = Some(end);
+                            events.push(Reverse((end, Event::Round(i))));
                             // Progress frees pool space: wake parked ports
                             // whose skid heads may now be admissible.
                             for (j, other) in ports.iter_mut().enumerate() {
@@ -961,7 +955,9 @@ impl LosslessFabric {
                                     && other.t.is_none()
                                     && !other.skid.is_empty()
                                 {
-                                    other.t = Some(end.max(other.busy_until));
+                                    let t = end.max(other.busy_until);
+                                    other.t = Some(t);
+                                    events.push(Reverse((t, Event::Round(j))));
                                 }
                             }
                             end
@@ -974,12 +970,7 @@ impl LosslessFabric {
                     max_pool_live = max_pool_live.max(fabric_live(&self.switch));
                     if sample_every.is_some_and(|every| rounds % every == 0) {
                         g_pool.push(round_end, fabric_live(&self.switch) as u64);
-                        let paused = ports
-                            .iter()
-                            .flat_map(|p| p.classes.values())
-                            .filter(|c| c.paused_since.is_some())
-                            .count();
-                        g_paused.push(round_end, paused as u64);
+                        g_paused.push(round_end, paused.len() as u64);
                         let skid: usize = ports.iter().map(|p| p.skid.len()).sum();
                         g_skid.push(round_end, skid as u64);
                     }
@@ -1006,14 +997,8 @@ impl LosslessFabric {
                     }
                 }
             }
-            for s in srcs.iter_mut() {
-                if s.blocked {
-                    s.blocked = false;
-                    s.stats.resumes += 1;
-                    let dur = end.saturating_sub(s.blocked_since);
-                    s.stats.total_paused += dur;
-                    s.stats.max_pause = s.stats.max_pause.max(dur);
-                }
+            for s in srcs.iter_mut().filter(|s| s.blocked) {
+                s.unblock(end);
             }
         }
 

@@ -89,10 +89,11 @@ impl AddAssign for Nanos {
     }
 }
 
+/// Saturates at [`Nanos::ZERO`], like `+` saturates at [`Nanos::MAX`].
 impl Sub for Nanos {
     type Output = Nanos;
     fn sub(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0 - rhs.0)
+        self.saturating_sub(rhs)
     }
 }
 
@@ -167,6 +168,14 @@ mod tests {
         let mut t = Nanos(u64::MAX - 1);
         t += Nanos(5);
         assert_eq!(t, Nanos::MAX);
+    }
+
+    #[test]
+    fn subtraction_saturates_at_zero() {
+        assert_eq!(Nanos(1) - Nanos(2), Nanos::ZERO);
+        assert_eq!(Nanos::ZERO - Nanos::MAX, Nanos::ZERO);
+        assert_eq!(Nanos(7) - Nanos(7), Nanos::ZERO);
+        assert_eq!(Nanos::MAX - Nanos(1), Nanos(u64::MAX - 1));
     }
 
     #[test]

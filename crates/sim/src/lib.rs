@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod buffer;
 pub mod gps;
 pub mod lossless;
 pub mod metrics;
@@ -39,8 +38,7 @@ pub mod scheduler;
 pub mod switch;
 pub mod traffic;
 
-pub use baselines::{DrrSched, FifoSched, SfqSched, ShapedFifo, StrictPrioritySched};
-pub use buffer::{Red, RedScheduler};
+pub use baselines::{DrrSched, FifoSched, StrictPrioritySched};
 pub use gps::FluidGps;
 pub use lossless::{
     FabricStall, FaultPlan, LosslessConfig, LosslessFabric, LosslessRun, PauseAction, PauseEvent,

@@ -11,7 +11,9 @@
 
 use pifo_algos::{Stfq, WeightTable};
 use pifo_core::prelude::*;
-use pifo_sim::{run_port, throughput, CbrSource, PortConfig, TrafficSource, TreeScheduler};
+use pifo_sim::{
+    run_port, throughput, CbrSource, PortConfig, PortScheduler, TrafficSource, TreeScheduler,
+};
 
 const LINK: u64 = 10_000_000_000;
 
@@ -121,4 +123,71 @@ fn static_thresholds_also_work() {
     let rates = run(Some(Threshold::Static(85)));
     assert!(rates[1] > 1_000.0, "flow 2 served: {rates:?}");
     assert!(rates[2] > 2_000.0, "flow 3 served: {rates:?}");
+}
+
+fn pkt(id: u64, flow: u32) -> Packet {
+    Packet::new(id, FlowId(flow), 1_000, Nanos(id))
+}
+
+/// A FIFO port behind per-flow thresholds: a one-node tree in a
+/// `PortFlow { port: Unlimited, flow }` pool of `capacity` packets.
+fn flow_gated_fifo(capacity: usize, flow: Threshold) -> TreeScheduler {
+    let handle = SharedPacketPool::new(
+        capacity,
+        AdmissionPolicy::PortFlow {
+            port: Threshold::Unlimited,
+            flow,
+        },
+    )
+    .into_shared()
+    .register_port();
+    let mut b = TreeBuilder::new();
+    let root = b.add_root(
+        "fifo",
+        Box::new(FnTransaction::new("fifo", |ctx: &EnqCtx| {
+            Rank(ctx.now.as_nanos())
+        })),
+    );
+    let tree = b
+        .build_in_pool(Box::new(move |_| root), handle)
+        .expect("valid");
+    TreeScheduler::new("fifo", tree)
+}
+
+#[test]
+fn static_threshold_caps_each_flow() {
+    let mut s = flow_gated_fifo(100, Threshold::Static(2));
+    assert!(s.enqueue(pkt(0, 1), Nanos(0)));
+    assert!(s.enqueue(pkt(1, 1), Nanos(0)));
+    assert!(!s.enqueue(pkt(2, 1), Nanos(0)), "third of flow 1 dropped");
+    assert!(s.enqueue(pkt(3, 2), Nanos(0)), "other flows unaffected");
+    assert_eq!(s.drops(), 1);
+    assert_eq!(s.tree().packet_buffer().flow_occupancy(FlowId(1)), 2);
+}
+
+#[test]
+fn dequeue_frees_headroom() {
+    let mut s = flow_gated_fifo(100, Threshold::Static(1));
+    assert!(s.enqueue(pkt(0, 1), Nanos(0)));
+    assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
+    s.dequeue(Nanos(1)).expect("packet");
+    assert!(s.enqueue(pkt(2, 1), Nanos(2)), "freed by the dequeue");
+}
+
+#[test]
+fn dynamic_threshold_prevents_monopoly_lockout() {
+    // The classic tail-drop pathology: one flow owning the whole
+    // buffer. With dynamic thresholds a second flow always finds
+    // room.
+    let mut s = flow_gated_fifo(64, Threshold::Dynamic { num: 1, den: 1 });
+    let mut id = 0;
+    for _ in 0..200 {
+        let _ = s.enqueue(pkt(id, 1), Nanos(id));
+        id += 1;
+    }
+    assert!(
+        s.tree().packet_buffer().flow_occupancy(FlowId(1)) <= 32,
+        "hog capped at half"
+    );
+    assert!(s.enqueue(pkt(id, 2), Nanos(id)), "victim admitted");
 }
